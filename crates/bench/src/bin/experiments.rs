@@ -18,8 +18,10 @@ use std::time::Instant;
 
 use ir2_bench::{build_db, run_distance_first, workload, BenchDb, Measurement};
 use ir2_datagen::DatasetSpec;
-use ir2tree::irtree::{distance_first_topk, insert_object, GeneralQuery, Ir2Payload, MirPayload};
-use ir2tree::model::{ObjectSource, ObjectStore, SpatialObject};
+use ir2tree::irtree::{
+    distance_first_topk, insert_object, GeneralQuery, Ir2Payload, MirPayload, NopSink,
+};
+use ir2tree::model::{ObjectSource, ObjectStore, QueryLimits, SpatialObject};
 use ir2tree::rtree::{RTree, RTreeConfig};
 use ir2tree::sigfile::{MultiLevelScheme, SignatureScheme};
 use ir2tree::storage::{BufferPool, CostModel, MemDevice, TrackedDevice};
@@ -462,7 +464,16 @@ fn ablation_buffer(bench: &BenchDb, queries: usize) {
         ir2tree::irtree::bulk_load_objects(&tree, items.clone()).unwrap();
         stats.reset();
         for q in &w {
-            let _ = distance_first_topk(&tree, store.as_ref(), q).unwrap();
+            let _ = distance_first_topk(
+                &tree,
+                store.as_ref(),
+                q.point,
+                &q.keywords,
+                q.k,
+                QueryLimits::none(),
+                NopSink,
+            )
+            .unwrap();
         }
         let io = stats.snapshot();
         let per_query = 1.0 / w.len() as f64;
@@ -565,7 +576,16 @@ fn ablation_grid(spec: &DatasetSpec, queries: usize) {
     tree_stats.reset();
     let mut checked = 0u64;
     for q in &w {
-        let (_, c) = distance_first_topk(&tree, store.as_ref(), q).unwrap();
+        let (_, c) = distance_first_topk(
+            &tree,
+            store.as_ref(),
+            q.point,
+            &q.keywords,
+            q.k,
+            QueryLimits::none(),
+            NopSink,
+        )
+        .unwrap();
         checked += c.candidates_checked;
     }
     let tio = tree_stats.snapshot();
@@ -649,7 +669,16 @@ fn ablation_split(spec: &DatasetSpec, queries: usize) {
         stats.reset();
         let mut loads = 0u64;
         for q in &w {
-            let (_, c) = distance_first_topk(&tree, store.as_ref(), q).unwrap();
+            let (_, c) = distance_first_topk(
+                &tree,
+                store.as_ref(),
+                q.point,
+                &q.keywords,
+                q.k,
+                QueryLimits::none(),
+                NopSink,
+            )
+            .unwrap();
             loads += c.candidates_checked;
         }
         let io = stats.snapshot();

@@ -5,8 +5,8 @@
 //! uninstrumented code. This benchmark checks the claim where it matters —
 //! the batch top-k hot path — by running the same workload three ways:
 //!
-//! * `nop`   — `distance_first_topk` (the `NopSink` default);
-//! * `stats` — `distance_first_topk_traced` with a `StatsSink`, i.e. what
+//! * `nop`   — `distance_first_topk` with a `NopSink`;
+//! * `stats` — `distance_first_topk` with a `StatsSink`, i.e. what
 //!   the facade (`distance_first` / `batch_topk`) now runs on every query;
 //! * `vec`   — a `VecSink` storing every event (the `ir2 trace` path).
 //!
@@ -21,7 +21,9 @@ use std::time::Instant;
 
 use ir2_bench::{build_db, workload};
 use ir2_datagen::DatasetSpec;
-use ir2tree::irtree::{distance_first_topk, distance_first_topk_traced, StatsSink, VecSink};
+use ir2tree::irtree::{distance_first_topk, Ir2Tree, NopSink, StatsSink, TraceSink, VecSink};
+use ir2tree::model::{DistanceFirstQuery, ObjectSource, QueryLimits, SpatialObject};
+use ir2tree::storage::{MemDevice, TrackedDevice};
 
 struct Args {
     scale: f64,
@@ -57,6 +59,18 @@ fn parse_args() -> Args {
     args
 }
 
+/// One distance-first query on the IR²-Tree; returns the answer.
+fn topk(
+    tree: &Ir2Tree<2, TrackedDevice<MemDevice>>,
+    store: &dyn ObjectSource<2>,
+    q: &DistanceFirstQuery<2>,
+    sink: impl TraceSink,
+) -> Vec<(SpatialObject<2>, f64)> {
+    let limits = QueryLimits::none();
+    let r = distance_first_topk(tree, store, q.point, &q.keywords, q.k, limits, sink);
+    r.expect("query").0.into_results()
+}
+
 fn main() {
     let args = parse_args();
     let spec = DatasetSpec::restaurants().scaled(args.scale);
@@ -79,26 +93,26 @@ fn main() {
 
     // Warm-up pass (first touch reads every block through the device).
     for q in &queries {
-        distance_first_topk(tree, store, q).expect("query");
+        topk(tree, store, q, NopSink);
     }
 
     let nop = measure(&mut || {
         for q in &queries {
-            let (r, _) = distance_first_topk(tree, store, q).expect("query");
+            let r = topk(tree, store, q, NopSink);
             std::hint::black_box(r);
         }
     });
     let stats = measure(&mut || {
         for q in &queries {
             let mut sink = StatsSink::new();
-            let (r, _) = distance_first_topk_traced(tree, store, q, &mut sink).expect("query");
+            let r = topk(tree, store, q, &mut sink);
             std::hint::black_box((r, sink.stats.sig_tests));
         }
     });
     let vec = measure(&mut || {
         for q in &queries {
             let mut sink = VecSink::new();
-            let (r, _) = distance_first_topk_traced(tree, store, q, &mut sink).expect("query");
+            let r = topk(tree, store, q, &mut sink);
             std::hint::black_box((r, sink.events.len()));
         }
     });

@@ -2,7 +2,7 @@
 //!
 //! Runs one distance-first workload against two otherwise identical
 //! in-memory databases — one bare, one with a decoded-node cache — and
-//! reports three numbers:
+//! reports two numbers:
 //!
 //! * **warm speedup**: repeat-pass wall time, bare vs cached. A warm
 //!   cached visit skips the page checksum and the entry deserialization
@@ -12,16 +12,13 @@
 //!   bare. Every visit misses, so this prices the cache bookkeeping
 //!   (shard lock + LRU insert) on the path that gains nothing (target
 //!   ≤ 2%; `--assert-max-cold PCT` gates it).
-//! * **prefetch delta**: warm pass with frontier-prefetch workers, as an
-//!   informational column (on an in-memory device the decode is the only
-//!   latency to hide, so this mostly prices the per-query thread scope).
 //!
 //! Results are asserted byte-identical between the two databases on every
 //! pass — the cache may change where bytes come from, never the answer.
 //!
 //! Usage:
 //!   warm_topk [--scale F] [--queries N] [--k K] [--reps R]
-//!             [--sig-bytes B] [--cache NODES] [--prefetch WORKERS]
+//!             [--sig-bytes B] [--cache NODES]
 //!             [--assert-min-speedup X] [--assert-max-cold PCT] [--out FILE]
 
 use std::time::Instant;
@@ -38,7 +35,6 @@ struct Args {
     reps: usize,
     sig_bytes: usize,
     cache: usize,
-    prefetch: usize,
     assert_min_speedup: Option<f64>,
     assert_max_cold: Option<f64>,
     out: String,
@@ -52,7 +48,6 @@ fn parse_args() -> Args {
         reps: 5,
         sig_bytes: 32,
         cache: 4096,
-        prefetch: 2,
         assert_min_speedup: None,
         assert_max_cold: None,
         out: "BENCH_warm_topk.json".to_string(),
@@ -67,7 +62,6 @@ fn parse_args() -> Args {
             "--reps" => args.reps = next("R").parse().expect("rep count"),
             "--sig-bytes" => args.sig_bytes = next("B").parse().expect("signature bytes"),
             "--cache" => args.cache = next("NODES").parse().expect("cache size"),
-            "--prefetch" => args.prefetch = next("WORKERS").parse().expect("worker count"),
             "--assert-min-speedup" => {
                 args.assert_min_speedup = Some(next("X").parse().expect("speedup factor"))
             }
@@ -154,7 +148,7 @@ fn main() {
     );
     let bare = SpatialKeywordDb::build(DeviceSet::in_memory(), spec.generate(), config.clone())
         .expect("bare build");
-    let mut cached = SpatialKeywordDb::build(
+    let cached = SpatialKeywordDb::build(
         DeviceSet::in_memory(),
         spec.generate(),
         config.with_node_cache(args.cache),
@@ -178,9 +172,6 @@ fn main() {
     let t_bare = measure_warm(&bare, &queries, args.reps, None);
     let t_cold = measure_cold(&cached, &queries, args.reps);
     let t_warm = measure_warm(&cached, &queries, args.reps, Some(&truth));
-    cached.configure_prefetch(args.prefetch);
-    let t_prefetch = measure_warm(&cached, &queries, args.reps, Some(&truth));
-    cached.configure_prefetch(0);
 
     let speedup = t_bare / t_warm;
     let cold_pct = (t_cold / t_bare - 1.0) * 100.0;
@@ -215,19 +206,12 @@ fn main() {
         speedup
     );
     println!(
-        "{:>14} | {:>10.2} | {:>8.2}x  (workers: {})",
-        "warm+prefetch",
-        t_prefetch * 1e3,
-        t_bare / t_prefetch,
-        args.prefetch
-    );
-    println!(
         "# ir2 cache totals this process: {hits} hits / {misses} misses ({:.1}% hit rate)",
         100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"warm_topk\",\n  \"dataset\": \"{}\",\n  \"objects\": {},\n  \"queries\": {},\n  \"k\": {},\n  \"reps\": {},\n  \"sig_bytes\": {},\n  \"cache_nodes\": {},\n  \"prefetch_workers\": {},\n  \"wall_ms\": {{\"bare\": {:.3}, \"cached_cold\": {:.3}, \"cached_warm\": {:.3}, \"warm_prefetch\": {:.3}}},\n  \"warm_speedup\": {:.3},\n  \"cold_overhead_pct\": {:.2},\n  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}}}\n}}\n",
+        "{{\n  \"benchmark\": \"warm_topk\",\n  \"dataset\": \"{}\",\n  \"objects\": {},\n  \"queries\": {},\n  \"k\": {},\n  \"reps\": {},\n  \"sig_bytes\": {},\n  \"cache_nodes\": {},\n  \"wall_ms\": {{\"bare\": {:.3}, \"cached_cold\": {:.3}, \"cached_warm\": {:.3}}},\n  \"warm_speedup\": {:.3},\n  \"cold_overhead_pct\": {:.2},\n  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}}}\n}}\n",
         spec.name,
         spec.num_objects,
         queries.len(),
@@ -235,11 +219,9 @@ fn main() {
         args.reps,
         args.sig_bytes,
         args.cache,
-        args.prefetch,
         t_bare * 1e3,
         t_cold * 1e3,
         t_warm * 1e3,
-        t_prefetch * 1e3,
         speedup,
         cold_pct,
     );

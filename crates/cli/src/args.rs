@@ -10,14 +10,14 @@ ir2 — keyword search on spatial databases (IR²-Tree, ICDE 2008)
 USAGE:
   ir2 generate --preset <hotels|restaurants> [--count N] [--seed S] --out FILE.tsv
   ir2 build    --tsv FILE.tsv --db DIR [--sig-bytes N] [--capacity N] [--incremental]
-               [--node-cache NODES] [--prefetch WORKERS] [--shards N] [--replicas R]
+               [--node-cache NODES] [--shards N] [--replicas R]
   ir2 query    --db DIR --at LAT,LON --keywords \"w1 w2 …\" [--k N]
                [--alg <rtree|iio|ir2|mir2>] [--area LAT1,LON1,LAT2,LON2]
                [--deadline-ms MS] [--io-budget BLOCKS] [--threads N]
-               [--node-cache NODES] [--prefetch WORKERS] [--hedge-ms MS]
+               [--node-cache NODES] [--hedge-ms MS]
   ir2 batch    --db DIR --queries FILE [--threads N] [--k N]
                [--alg <rtree|iio|ir2|mir2>] [--deadline-ms MS] [--io-budget BLOCKS]
-               [--node-cache NODES] [--prefetch WORKERS] [--hedge-ms MS]
+               [--node-cache NODES] [--hedge-ms MS]
   ir2 ranked   --db DIR --at LAT,LON --keywords \"w1 w2 …\" [--k N] [--dist-weight W]
   ir2 trace    --db DIR --at LAT,LON --keywords \"w1 w2 …\" [--k N]
                [--alg <rtree|iio|ir2|mir2>] [--steps N]
@@ -36,9 +36,8 @@ per-query fault isolation. `--deadline-ms` (batch-wide) and
 is truncated, not failed — its results are the exact top-m prefix of
 the full answer. `--node-cache` keeps up to NODES decoded tree nodes
 per index (warm queries skip checksum + decode work; at build time the
-setting is persisted, at query time it overrides for that process) and
-`--prefetch` decodes up to WORKERS frontier nodes ahead of the
-traversal — results are byte-identical either way.
+setting is persisted, at query time it overrides for that process) —
+results are byte-identical either way.
 
 `ir2 build --shards N` tiles the objects spatially (STR order) into N
 fully independent shards under one directory; query, batch, stats, and
@@ -59,7 +58,7 @@ files from the reference and re-verifies them.
 
 `ir2 fuzz` runs the differential oracle harness: seeded random
 datasets, insert/delete streams, and queries are answered by every
-engine variant (all four algorithms — cold, warm-cached, prefetched,
+engine variant (all four algorithms — cold, warm-cached,
 fault-injected, incrementally mutated — plus 1/2/4-way sharding, the
 uniform grid, and the flat signature file) and compared byte-for-byte
 against a brute-force reference, along with metamorphic invariants

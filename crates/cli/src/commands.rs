@@ -65,7 +65,6 @@ fn db_config(f: &Flags) -> Result<DbConfig, String> {
         config.bulk_load = false;
     }
     config.node_cache = f.get_or("node-cache", 0usize)?;
-    config.prefetch = f.get_or("prefetch", 0usize)?;
     Ok(config)
 }
 
@@ -152,10 +151,6 @@ fn open_db(f: &Flags) -> Result<SpatialKeywordDb<RetryDevice<FileDevice>>, Strin
     if let Some(n) = f.optional("node-cache") {
         let n: usize = n.parse().map_err(|e| format!("bad --node-cache: {e}"))?;
         db.configure_node_cache(n);
-    }
-    if let Some(p) = f.optional("prefetch") {
-        let p: usize = p.parse().map_err(|e| format!("bad --prefetch: {e}"))?;
-        db.configure_prefetch(p);
     }
     Ok(db)
 }

@@ -32,9 +32,6 @@ pub struct DbConfig {
     /// cache). Warm traversals then skip checksum verification and entry
     /// decoding; per-tree mutation epochs keep cached images fresh.
     pub node_cache: usize,
-    /// Frontier-prefetch worker threads per query (0 disables prefetch;
-    /// requires `node_cache > 0` to have any effect).
-    pub prefetch: usize,
 }
 
 impl Default for DbConfig {
@@ -49,7 +46,6 @@ impl Default for DbConfig {
             mir_strict: false,
             avg_words_hint: None,
             node_cache: 0,
-            prefetch: 0,
         }
     }
 }
@@ -97,16 +93,10 @@ impl DbConfig {
         self
     }
 
-    /// Sets the frontier-prefetch worker count, 0 to disable (builder
-    /// style).
-    pub fn with_prefetch(mut self, workers: usize) -> Self {
-        self.prefetch = workers;
-        self
-    }
-
-    /// Serializes the configuration for the catalog.
+    /// Serializes the configuration for the catalog: the 50-byte layout,
+    /// ending with the node-cache word at offset 46.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40);
+        let mut out = Vec::with_capacity(50);
         out.extend_from_slice(&(self.capacity.unwrap_or(0) as u32).to_le_bytes());
         out.extend_from_slice(&(self.sig_bytes as u32).to_le_bytes());
         out.extend_from_slice(&self.sig_k.to_le_bytes());
@@ -119,11 +109,14 @@ impl DbConfig {
         );
         out.extend_from_slice(&self.avg_words_hint.unwrap_or(0.0).to_le_bytes());
         out.extend_from_slice(&(self.node_cache as u32).to_le_bytes());
-        out.extend_from_slice(&(self.prefetch as u32).to_le_bytes());
         out
     }
 
-    /// Deserializes a configuration written by [`DbConfig::encode`].
+    /// Deserializes a configuration written by [`DbConfig::encode`], or by
+    /// an older encoder: the 46-byte layout without the node-cache word,
+    /// or the 54-byte layout whose extra word at offset 50 held a
+    /// frontier-prefetch worker count (a removed feature; the word is
+    /// ignored).
     pub fn decode(buf: &[u8]) -> Result<Self> {
         if buf.len() < 46 {
             return Err(StorageError::Corrupt("config record too short".into()));
@@ -137,15 +130,12 @@ impl DbConfig {
         let rand_us = u64::from_le_bytes(buf[22..30].try_into().expect("8 bytes"));
         let seq_us = u64::from_le_bytes(buf[30..38].try_into().expect("8 bytes"));
         let hint = f64::from_le_bytes(buf[38..46].try_into().expect("8 bytes"));
-        // Cache knobs were appended later; records written before them
-        // decode to the old behavior (cache and prefetch off).
-        let read_u32_or0 = |at: usize| {
-            buf.get(at..at + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-                .unwrap_or(0)
-        };
-        let node_cache = read_u32_or0(46);
-        let prefetch = read_u32_or0(50);
+        // The cache word was appended later; records written before it
+        // decode to the old behavior (cache off).
+        let node_cache = buf
+            .get(46..50)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
+            .unwrap_or(0);
         Ok(Self {
             capacity: (capacity != 0).then_some(capacity),
             sig_bytes,
@@ -159,7 +149,6 @@ impl DbConfig {
             },
             avg_words_hint: (hint != 0.0).then_some(hint),
             node_cache,
-            prefetch,
         })
     }
 }
@@ -179,23 +168,26 @@ mod tests {
         let cfg = DbConfig::hotels()
             .with_capacity(113)
             .with_incremental_build()
-            .with_node_cache(4096)
-            .with_prefetch(3);
-        let back = DbConfig::decode(&cfg.encode()).unwrap();
-        assert_eq!(back, cfg);
+            .with_node_cache(4096);
+        let bytes = cfg.encode();
+        assert_eq!(bytes.len(), 50);
+        assert_eq!(DbConfig::decode(&bytes).unwrap(), cfg);
+
+        // A record in the earlier 54-byte layout carries a prefetch worker
+        // count at offset 50; it still decodes, and the word is ignored.
+        let mut parent = bytes;
+        parent.extend_from_slice(&3u32.to_le_bytes());
+        assert_eq!(DbConfig::decode(&parent).unwrap(), cfg);
     }
 
     #[test]
     fn decode_tolerates_records_without_cache_knobs() {
         // A record truncated at the pre-cache length (46 bytes) must still
-        // decode, with both knobs defaulting to off.
-        let cfg = DbConfig::restaurants()
-            .with_node_cache(512)
-            .with_prefetch(2);
+        // decode, with the cache defaulting to off.
+        let cfg = DbConfig::restaurants().with_node_cache(512);
         let old = &cfg.encode()[..46];
         let back = DbConfig::decode(old).unwrap();
         assert_eq!(back.node_cache, 0);
-        assert_eq!(back.prefetch, 0);
         assert_eq!(back.sig_bytes, cfg.sig_bytes);
     }
 

@@ -7,15 +7,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ir2_geo::Rect;
-use ir2_invindex::{iio_topk, iio_topk_limited, InvertedIndex};
+use ir2_invindex::{iio_topk_limited, InvertedIndex};
 use ir2_irtree::{
-    distance_first_region_topk_prefetched_traced, distance_first_topk_prefetched_limited_traced,
-    distance_first_topk_prefetched_traced, general_topk_prefetched, insert_object,
-    rtree_baseline_topk_prefetched_limited_traced, rtree_baseline_topk_prefetched_traced,
-    GeneralQuery, Ir2Payload, MirPayload, SearchCounters, StatsSink, TraceSink, TraceStats,
+    distance_first_topk, general_topk_limited_traced, insert_object, rtree_baseline_topk,
+    GeneralQuery, Ir2Payload, MirPayload, NopSink, SearchCounters, StatsSink, TraceSink,
+    TraceStats,
 };
 use ir2_model::{
-    DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, QueryLimits, SpatialObject,
+    DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, QueryLimits, QueryRegion, SpatialObject,
 };
 use ir2_rtree::{NodeCache, RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
@@ -23,7 +22,7 @@ use ir2_storage::{
     BlockDevice, FileDevice, Histogram, IoScope, IoSnapshot, IoStats, MemDevice, MetricsRegistry,
     Result, RetryScope, ShadowPair, StorageError, TrackedDevice, BLOCK_SIZE, RECORD_HEADER_LEN,
 };
-use ir2_text::{tokenize, IrScorer, RankingFn, TermId, Vocabulary};
+use ir2_text::{normalize_keywords, tokenize, IrScorer, RankingFn, TermId, Vocabulary};
 
 use crate::report::QueryError;
 use crate::{Algorithm, BatchReport, BuildStats, DbConfig, GeneralReport, IndexSizes, QueryReport};
@@ -139,6 +138,18 @@ impl DeviceSet<FileDevice> {
             catalog: f.next().expect("six files")?,
         })
     }
+}
+
+/// What [`SpatialKeywordDb::scoped`] measured around one query.
+struct Measured {
+    index_io: IoSnapshot,
+    object_io: IoSnapshot,
+    io: IoSnapshot,
+    object_loads: u64,
+    simulated: Duration,
+    wall: Duration,
+    retries: u64,
+    backoff: Duration,
 }
 
 struct IoHandles {
@@ -818,6 +829,114 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
     }
 
+    /// Runs one query with per-thread attribution: everything `run` reads
+    /// is tallied in an [`IoScope`] (deterministic under concurrency: a
+    /// concurrent caller's reads never leak in), loads are counted through
+    /// a query-local [`CountingSource`], and a [`RetryScope`] attributes
+    /// transient-fault recoveries and backoff sleep. A report built from
+    /// this is identical whether the query runs alone or beside others.
+    ///
+    /// Scopes do not nest, so this must not be entered from inside another
+    /// [`IoScope`] (the sharded engine keeps its own scope per query).
+    fn scoped<T>(
+        &self,
+        alg: Algorithm,
+        run: impl FnOnce(&CountingSource<'_, 2>) -> Result<T>,
+    ) -> Result<(T, Measured)> {
+        let src = CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>);
+        let scope = IoScope::enter();
+        let retry_scope = RetryScope::enter();
+        let t0 = Instant::now();
+        let out = run(&src);
+        let wall = t0.elapsed();
+        let retry = retry_scope.finish();
+        let scoped = scope.finish();
+        let index_io = scoped.for_stats(self.stats_of(alg));
+        let object_io = scoped.for_stats(&self.io.objects);
+        let io = index_io + object_io;
+        Ok((
+            out?,
+            Measured {
+                index_io,
+                object_io,
+                io,
+                object_loads: src.loads(),
+                simulated: self.config.cost_model.time(io),
+                wall,
+                retries: retry.retries,
+                backoff: retry.backoff,
+            },
+        ))
+    }
+
+    /// The one distance-first runner behind every top-k method: `alg`'s
+    /// entry point under [`scoped`](Self::scoped), folded into a report
+    /// whose `pruning` is left empty (the caller owns `sink`).
+    #[allow(clippy::too_many_arguments)]
+    fn topk_report<S: TraceSink>(
+        &self,
+        alg: Algorithm,
+        region: QueryRegion<2>,
+        keywords: &[String],
+        k: usize,
+        limits: QueryLimits,
+        sink: S,
+    ) -> Result<QueryReport> {
+        let ((exec, counters), m) = self.scoped(alg, |src| match (alg, region) {
+            (Algorithm::RTree, _) => {
+                rtree_baseline_topk(&self.rtree, src, region, keywords, k, limits, sink)
+            }
+            (Algorithm::Ir2, _) => {
+                distance_first_topk(&self.ir2, src, region, keywords, k, limits, sink)
+            }
+            (Algorithm::Mir2, _) => {
+                distance_first_topk(&self.mir2, src, region, keywords, k, limits, sink)
+            }
+            (Algorithm::Iio, QueryRegion::Point(point)) => {
+                let query = DistanceFirstQuery {
+                    point,
+                    keywords: keywords.to_vec(),
+                    k,
+                };
+                iio_topk_limited(&self.inverted, &self.vocab, src, &query, limits)
+                    .map(|r| (r, SearchCounters::default()))
+            }
+            (Algorithm::Iio, QueryRegion::Area(_)) => Err(StorageError::Corrupt(
+                "region queries need a tree; the inverted index has no spatial access path".into(),
+            )),
+        })?;
+        Ok(QueryReport {
+            outcome: exec.truncation(),
+            results: exec.into_results(),
+            index_io: m.index_io,
+            object_io: m.object_io,
+            io: m.io,
+            object_loads: m.object_loads,
+            counters,
+            pruning: TraceStats::default(),
+            simulated: m.simulated,
+            wall: m.wall,
+            retries: m.retries,
+            backoff: m.backoff,
+        })
+    }
+
+    /// [`topk_report`](Self::topk_report) with pruning statistics gathered
+    /// through a [`StatsSink`]; not yet published to the metrics registry.
+    fn scoped_distance_first(
+        &self,
+        alg: Algorithm,
+        region: QueryRegion<2>,
+        keywords: &[String],
+        k: usize,
+        limits: QueryLimits,
+    ) -> Result<QueryReport> {
+        let mut sink = StatsSink::new();
+        let mut report = self.topk_report(alg, region, keywords, k, limits, &mut sink)?;
+        report.pruning = sink.into_stats();
+        Ok(report)
+    }
+
     /// Answers a distance-first top-k spatial keyword query with the chosen
     /// algorithm, reporting results plus the I/O metrics the paper plots.
     ///
@@ -829,11 +948,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
     ) -> Result<QueryReport> {
-        let mut sink = StatsSink::new();
-        let mut report = self.distance_first_traced(alg, query, &mut sink)?;
-        report.pruning = sink.into_stats();
-        self.publish_query_metrics(alg, &report);
-        Ok(report)
+        self.distance_first_limited(alg, query, QueryLimits::none())
     }
 
     /// [`distance_first`](SpatialKeywordDb::distance_first) under
@@ -850,7 +965,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         query: &DistanceFirstQuery<2>,
         limits: QueryLimits,
     ) -> Result<QueryReport> {
-        let report = self.scoped_distance_first(alg, query, limits)?;
+        let report =
+            self.scoped_distance_first(alg, query.point.into(), &query.keywords, query.k, limits)?;
         self.publish_query_metrics(alg, &report);
         Ok(report)
     }
@@ -865,123 +981,10 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         &self,
         alg: Algorithm,
         query: &DistanceFirstQuery<2>,
-        mut sink: S,
+        sink: S,
     ) -> Result<QueryReport> {
-        let idx_stats = self.stats_of(alg);
-        let idx_before = idx_stats.snapshot();
-        let obj_before = self.io.objects.snapshot();
-        let loads_before = self.objects.loads();
-        let t0 = Instant::now();
-
-        let p = self.config.prefetch;
-        let (results, counters) = match alg {
-            Algorithm::RTree => rtree_baseline_topk_prefetched_traced(
-                &self.rtree,
-                self.objects.as_ref(),
-                query,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Ir2 => distance_first_topk_prefetched_traced(
-                &self.ir2,
-                self.objects.as_ref(),
-                query,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Mir2 => distance_first_topk_prefetched_traced(
-                &self.mir2,
-                self.objects.as_ref(),
-                query,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Iio => (
-                iio_topk(&self.inverted, &self.vocab, self.objects.as_ref(), query)?,
-                SearchCounters::default(),
-            ),
-        };
-
-        let wall = t0.elapsed();
-        let index_io = idx_stats.snapshot() - idx_before;
-        let object_io = self.io.objects.snapshot() - obj_before;
-        let io = index_io + object_io;
-        Ok(QueryReport {
-            results,
-            index_io,
-            object_io,
-            io,
-            object_loads: self.objects.loads() - loads_before,
-            counters,
-            pruning: TraceStats::default(),
-            simulated: self.config.cost_model.time(io),
-            wall,
-            outcome: None,
-            retries: 0,
-            backoff: Duration::ZERO,
-        })
-    }
-
-    /// One distance-first query with per-thread I/O attribution: everything
-    /// the query reads is tallied in an [`IoScope`] (deterministic under
-    /// concurrency) and loads are counted through a query-local
-    /// [`CountingSource`], so the returned report is identical whether the
-    /// query runs alone or inside a concurrent batch. A [`RetryScope`]
-    /// likewise attributes this query's transient-fault recoveries and
-    /// backoff sleep to its report.
-    fn scoped_distance_first(
-        &self,
-        alg: Algorithm,
-        query: &DistanceFirstQuery<2>,
-        limits: QueryLimits,
-    ) -> Result<QueryReport> {
-        let src = CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>);
-        let mut sink = StatsSink::new();
-        let scope = IoScope::enter();
-        let retry_scope = RetryScope::enter();
-        let t0 = Instant::now();
-        let p = self.config.prefetch;
-        let out = match alg {
-            Algorithm::RTree => rtree_baseline_topk_prefetched_limited_traced(
-                &self.rtree,
-                &src,
-                query,
-                limits,
-                p,
-                &mut sink,
-            ),
-            Algorithm::Ir2 => distance_first_topk_prefetched_limited_traced(
-                &self.ir2, &src, query, limits, p, &mut sink,
-            ),
-            Algorithm::Mir2 => distance_first_topk_prefetched_limited_traced(
-                &self.mir2, &src, query, limits, p, &mut sink,
-            ),
-            Algorithm::Iio => iio_topk_limited(&self.inverted, &self.vocab, &src, query, limits)
-                .map(|r| (r, SearchCounters::default())),
-        };
-        let wall = t0.elapsed();
-        let retry_stats = retry_scope.finish();
-        let scoped = scope.finish();
-        let (exec, counters) = out?;
-        let outcome = exec.truncation();
-        let results = exec.into_results();
-        let index_io = scoped.for_stats(self.stats_of(alg));
-        let object_io = scoped.for_stats(&self.io.objects);
-        let io = index_io + object_io;
-        Ok(QueryReport {
-            results,
-            index_io,
-            object_io,
-            io,
-            object_loads: src.loads(),
-            counters,
-            pruning: sink.into_stats(),
-            simulated: self.config.cost_model.time(io),
-            wall,
-            outcome,
-            retries: retry_stats.retries,
-            backoff: retry_stats.backoff,
-        })
+        let (point, kws) = (query.point.into(), &query.keywords);
+        self.topk_report(alg, point, kws, query.k, QueryLimits::none(), sink)
     }
 
     /// Answers a batch of distance-first queries concurrently on `threads`
@@ -1006,7 +1009,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         threads: usize,
     ) -> Result<Vec<QueryReport>> {
         let reports = run_batch(queries, threads, |q| {
-            self.scoped_distance_first(alg, q, QueryLimits::none())
+            self.scoped_distance_first(alg, q.point.into(), &q.keywords, q.k, QueryLimits::none())
         })?;
         // Metrics are folded in *after* the concurrent phase: workers touch
         // only their thread-local sinks, so the shared registry sees no
@@ -1040,7 +1043,7 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         limits: QueryLimits,
     ) -> Vec<std::result::Result<QueryReport, QueryError>> {
         let outcomes = run_batch_isolated(queries, threads, |q| {
-            self.scoped_distance_first(alg, q, limits)
+            self.scoped_distance_first(alg, q.point.into(), &q.keywords, q.k, limits)
                 .map_err(Into::into)
         });
         // Metrics fold in after the concurrent phase, like `batch_topk`.
@@ -1074,45 +1077,8 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         rank: &dyn RankingFn,
         threads: usize,
     ) -> Result<Vec<GeneralReport>> {
-        run_batch(queries, threads, |query| {
-            let src = CountingSource::new(self.objects.as_ref() as &dyn ObjectSource<2>);
-            let scope = IoScope::enter();
-            let t0 = Instant::now();
-            let out = match alg {
-                Algorithm::Ir2 => general_topk_prefetched(
-                    &self.ir2,
-                    &src,
-                    &self.vocab,
-                    scorer,
-                    rank,
-                    query,
-                    self.config.prefetch,
-                ),
-                Algorithm::Mir2 => general_topk_prefetched(
-                    &self.mir2,
-                    &src,
-                    &self.vocab,
-                    scorer,
-                    rank,
-                    query,
-                    self.config.prefetch,
-                ),
-                other => Err(StorageError::Corrupt(format!(
-                    "general ranked queries need a signature tree, not {}",
-                    other.label()
-                ))),
-            };
-            let wall = t0.elapsed();
-            let scoped = scope.finish();
-            let results = out?;
-            let io = scoped.for_stats(self.stats_of(alg)) + scoped.for_stats(&self.io.objects);
-            Ok(GeneralReport {
-                results,
-                io,
-                object_loads: src.loads(),
-                simulated: self.config.cost_model.time(io),
-                wall,
-            })
+        run_batch(queries, threads, |q| {
+            self.general_ranked(alg, q, scorer, rank)
         })
     }
 
@@ -1150,68 +1116,18 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
 
     /// Answers a distance-first top-k query anchored at an arbitrary
     /// region (the paper's "an area could be used instead" of the query
-    /// point) on the IR²- or MIR²-Tree. Objects inside an area region come
+    /// point) on any of the three trees. Objects inside an area region come
     /// out at distance zero, then in increasing distance from its boundary.
+    /// `keywords` are raw user input, normalized here.
     pub fn distance_first_region(
         &self,
         alg: Algorithm,
-        region: ir2_model::QueryRegion<2>,
+        region: QueryRegion<2>,
         keywords: &[String],
         k: usize,
     ) -> Result<QueryReport> {
-        let idx_stats = self.stats_of(alg);
-        let idx_before = idx_stats.snapshot();
-        let obj_before = self.io.objects.snapshot();
-        let loads_before = self.objects.loads();
-        let mut sink = StatsSink::new();
-        let t0 = Instant::now();
-
-        let p = self.config.prefetch;
-        let (results, counters) = match alg {
-            Algorithm::Ir2 => distance_first_region_topk_prefetched_traced(
-                &self.ir2,
-                self.objects.as_ref(),
-                region,
-                keywords,
-                k,
-                p,
-                &mut sink,
-            )?,
-            Algorithm::Mir2 => distance_first_region_topk_prefetched_traced(
-                &self.mir2,
-                self.objects.as_ref(),
-                region,
-                keywords,
-                k,
-                p,
-                &mut sink,
-            )?,
-            other => {
-                return Err(StorageError::Corrupt(format!(
-                    "region queries are implemented on the signature trees, not {}",
-                    other.label()
-                )))
-            }
-        };
-
-        let wall = t0.elapsed();
-        let index_io = idx_stats.snapshot() - idx_before;
-        let object_io = self.io.objects.snapshot() - obj_before;
-        let io = index_io + object_io;
-        let report = QueryReport {
-            results,
-            index_io,
-            object_io,
-            io,
-            object_loads: self.objects.loads() - loads_before,
-            counters,
-            pruning: sink.into_stats(),
-            simulated: self.config.cost_model.time(io),
-            wall,
-            outcome: None,
-            retries: 0,
-            backoff: Duration::ZERO,
-        };
+        let kws = normalize_keywords(keywords);
+        let report = self.scoped_distance_first(alg, region, &kws, k, QueryLimits::none())?;
         self.publish_query_metrics(alg, &report);
         Ok(report)
     }
@@ -1261,47 +1177,25 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         scorer: &dyn IrScorer,
         rank: &dyn RankingFn,
     ) -> Result<GeneralReport> {
-        let idx_stats = self.stats_of(alg);
-        let idx_before = idx_stats.snapshot();
-        let obj_before = self.io.objects.snapshot();
-        let loads_before = self.objects.loads();
-        let t0 = Instant::now();
-
-        let results = match alg {
-            Algorithm::Ir2 => general_topk_prefetched(
-                &self.ir2,
-                self.objects.as_ref(),
-                &self.vocab,
-                scorer,
-                rank,
-                query,
-                self.config.prefetch,
-            )?,
-            Algorithm::Mir2 => general_topk_prefetched(
-                &self.mir2,
-                self.objects.as_ref(),
-                &self.vocab,
-                scorer,
-                rank,
-                query,
-                self.config.prefetch,
-            )?,
-            other => {
-                return Err(StorageError::Corrupt(format!(
-                    "general ranked queries need a signature tree, not {}",
-                    other.label()
-                )))
+        let (v, none) = (&self.vocab, QueryLimits::none());
+        let (exec, m) = self.scoped(alg, |src| match alg {
+            Algorithm::Ir2 => {
+                general_topk_limited_traced(&self.ir2, src, v, scorer, rank, query, none, NopSink)
             }
-        };
-
-        let wall = t0.elapsed();
-        let io = (idx_stats.snapshot() - idx_before) + (self.io.objects.snapshot() - obj_before);
+            Algorithm::Mir2 => {
+                general_topk_limited_traced(&self.mir2, src, v, scorer, rank, query, none, NopSink)
+            }
+            other => Err(StorageError::Corrupt(format!(
+                "general ranked queries need a signature tree, not {}",
+                other.label()
+            ))),
+        })?;
         Ok(GeneralReport {
-            results,
-            io,
-            object_loads: self.objects.loads() - loads_before,
-            simulated: self.config.cost_model.time(io),
-            wall,
+            results: exec.into_results(),
+            io: m.io,
+            object_loads: m.object_loads,
+            simulated: m.simulated,
+            wall: m.wall,
         })
     }
 
@@ -1547,17 +1441,9 @@ impl<D: BlockDevice + 'static> SpatialKeywordDb<D> {
         }
     }
 
-    /// Overrides the frontier-prefetch worker count at runtime (0
-    /// disables) — the hook behind the CLI's `--prefetch` override.
-    pub fn configure_prefetch(&mut self, workers: usize) {
-        self.config.prefetch = workers;
-    }
-
     /// Cumulative decoded-node cache `(tree, hits, misses)` per tree, in
     /// `("rtree", "ir2", "mir2")` order. Empty when the cache is disabled
-    /// (`DbConfig::node_cache == 0`). Unlike the per-query `cache_hits`
-    /// counter, these totals also include speculative prefetch-worker
-    /// lookups.
+    /// (`DbConfig::node_cache == 0`).
     pub fn node_cache_stats(&self) -> Vec<(&'static str, u64, u64)> {
         let mut out = Vec::new();
         if let Some(c) = self.rtree.node_cache() {

@@ -63,7 +63,9 @@ use std::time::{Duration, Instant};
 
 use ir2_geo::{OrderedF64, Rect};
 use ir2_invindex::iio_topk_limited;
-use ir2_irtree::{BoundedStep, DistanceFirstIter, RtreeBaselineIter, SearchCounters, TraceStats};
+use ir2_irtree::{
+    BoundedStep, DistanceFirstIter, NopSink, RtreeBaselineIter, SearchCounters, TraceStats,
+};
 use ir2_model::{
     DistanceFirstQuery, ExecOutcome, ObjectSource, QueryLimits, SpatialObject, TruncateReason,
 };
@@ -297,15 +299,19 @@ impl<'a, D: BlockDevice + 'static> ShardIter<'a, D> {
         query: &DistanceFirstQuery<2>,
         limits: QueryLimits,
     ) -> Self {
+        let kws = || query.keywords.clone();
         match alg {
-            Algorithm::RTree => {
-                Self::RTree(RtreeBaselineIter::new(shard.rtree(), src, query).limited(limits))
-            }
+            Algorithm::RTree => Self::RTree(
+                RtreeBaselineIter::new(shard.rtree(), src, query.point, kws(), NopSink)
+                    .limited(limits),
+            ),
             Algorithm::Ir2 => Self::Ir2(
-                DistanceFirstIter::new(shard.ir2_tree(), src, query.clone()).limited(limits),
+                DistanceFirstIter::new(shard.ir2_tree(), src, query.point, kws(), NopSink)
+                    .limited(limits),
             ),
             Algorithm::Mir2 => Self::Mir2(
-                DistanceFirstIter::new(shard.mir2_tree(), src, query.clone()).limited(limits),
+                DistanceFirstIter::new(shard.mir2_tree(), src, query.point, kws(), NopSink)
+                    .limited(limits),
             ),
             Algorithm::Iio => unreachable!("IIO merges per-shard results, not iterators"),
         }

@@ -3,8 +3,14 @@
 //! all tell the same story — solo or inside the concurrent batch engine —
 //! and the metrics registry must aggregate them faithfully.
 
-use ir2tree::model::DistanceFirstQuery;
-use ir2tree::model::SpatialObject;
+use std::sync::Barrier;
+use std::time::Duration;
+
+use ir2tree::irtree::{GeneralQuery, NopSink};
+use ir2tree::model::{DistanceFirstQuery, QueryRegion, SpatialObject};
+use ir2tree::storage::testing::StallDevice;
+use ir2tree::storage::IoSnapshot;
+use ir2tree::text::{LinearRank, SaturatingTfIdf};
 use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb};
 
 fn small_config() -> DbConfig {
@@ -53,8 +59,8 @@ fn queries() -> Vec<DistanceFirstQuery<2>> {
 /// * the trace's object-fetch count equals the `CountingSource` /
 ///   object-store load count the report attributes to the query;
 /// * a query reports *bit-for-bit identical* measurements whether it runs
-///   alone (global snapshot deltas) or inside the concurrent batch engine
-///   (`IoScope` per-thread attribution + `CountingSource`).
+///   alone or inside the concurrent batch engine (both attribute through
+///   an `IoScope` and a `CountingSource`).
 #[test]
 fn solo_and_batch_reports_are_identical_for_every_algorithm() {
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(250), small_config()).unwrap();
@@ -84,15 +90,14 @@ fn solo_and_batch_reports_are_identical_for_every_algorithm() {
                 // the object store — the trace and the I/O layer agree.
                 assert_eq!(s.pruning.objects_fetched, s.object_loads, "{ctx}");
             }
-            // Solo and concurrent execution agree on everything measured.
-            // (Block-access *totals* are compared: the random/sequential
-            // split depends on the disk-arm position, which is global for
-            // solo runs but per-thread inside the batch engine.)
+            // Solo and concurrent execution agree on everything measured,
+            // down to the random/sequential split: both classify against a
+            // per-query disk-arm position.
             assert_eq!(s.counters, b.counters, "{ctx}");
             assert_eq!(s.pruning, b.pruning, "{ctx}");
             assert_eq!(s.object_loads, b.object_loads, "{ctx}");
-            assert_eq!(s.index_io.total(), b.index_io.total(), "{ctx}");
-            assert_eq!(s.object_io.total(), b.object_io.total(), "{ctx}");
+            assert_eq!(s.index_io, b.index_io, "{ctx}");
+            assert_eq!(s.object_io, b.object_io, "{ctx}");
             assert_eq!(s.results.len(), b.results.len(), "{ctx}");
             for (x, y) in s.results.iter().zip(&b.results) {
                 assert_eq!(x.0.id, y.0.id, "{ctx}");
@@ -178,4 +183,67 @@ fn metrics_registry_aggregates_query_counters_exactly() {
     assert!(text.contains("device_read_blocks{device=\"mir2\"}"));
     assert!(!text.contains("NaN"), "no NaN may ever be exported");
     assert!(!text.contains("inf"), "no infinity may ever be exported");
+}
+
+/// Two queries that overlap in time each report only their own I/O and
+/// object loads: the same numbers as when each runs alone. Every device
+/// operation stalls for a millisecond, so the two queries' reads are
+/// certain to interleave — a report built from before/after snapshots of
+/// the shared counters would also count the other query's reads.
+#[test]
+fn overlapping_queries_report_only_their_own_io() {
+    let stalled =
+        DeviceSet::in_memory().map(|_, d| StallDevice::new(d, 1.0, Duration::from_millis(1), 11));
+    let db = SpatialKeywordDb::build(stalled, town(120), small_config()).unwrap();
+    let rank = LinearRank::default();
+    let area = ir2tree::geo::Rect::from_corners([2.0, 1.0].into(), [6.0, 3.0].into());
+    let kws = vec!["coffee".to_string()];
+    // One runner per facade method; each returns what its report attributes.
+    let run = |which: usize| -> (IoSnapshot, u64) {
+        match which {
+            0 => {
+                let q = DistanceFirstQuery::new([3.0, 2.0], &["coffee"], 4);
+                let r = db.distance_first(Algorithm::Ir2, &q).unwrap();
+                (r.io, r.object_loads)
+            }
+            1 => {
+                let q = GeneralQuery::new([20.0, 3.0], &["music", "pool"], 4);
+                let r = db
+                    .general_ranked(Algorithm::Ir2, &q, &SaturatingTfIdf, &rank)
+                    .unwrap();
+                (r.io, r.object_loads)
+            }
+            2 => {
+                let region = QueryRegion::Area(area);
+                let r = db
+                    .distance_first_region(Algorithm::Mir2, region, &kws, 5)
+                    .unwrap();
+                (r.io, r.object_loads)
+            }
+            _ => {
+                let q = DistanceFirstQuery::new([10.0, 4.0], &["pizza"], 3);
+                let r = db
+                    .distance_first_traced(Algorithm::RTree, &q, NopSink)
+                    .unwrap();
+                (r.io, r.object_loads)
+            }
+        }
+    };
+    for (a, b) in [(0, 1), (2, 3), (0, 3)] {
+        let alone = (run(a), run(b));
+        assert!(alone.0 .0.total() > 0 && alone.1 .0.total() > 0);
+        let barrier = Barrier::new(2);
+        let together = std::thread::scope(|s| {
+            let ta = s.spawn(|| {
+                barrier.wait();
+                run(a)
+            });
+            let tb = s.spawn(|| {
+                barrier.wait();
+                run(b)
+            });
+            (ta.join().unwrap(), tb.join().unwrap())
+        });
+        assert_eq!(together, alone, "queries {a} and {b} overlapping");
+    }
 }

@@ -163,10 +163,12 @@ fn io_budget_sweep_yields_exact_prefixes_for_all_algorithms() {
 }
 
 /// The same property for the general (ranked) algorithm, which the facade
-/// reaches through `general_topk_limited`.
+/// reaches through `general_topk_limited_traced`.
 #[test]
 fn general_algorithm_truncates_to_exact_prefixes() {
-    use ir2tree::irtree::{general_topk, general_topk_limited, GeneralQuery};
+    use ir2tree::irtree::{
+        general_topk_limited_traced, general_topk_traced, GeneralQuery, NopSink,
+    };
     use ir2tree::text::LinearRank;
 
     let db = SpatialKeywordDb::build(DeviceSet::in_memory(), town(300), small_config()).unwrap();
@@ -175,19 +177,20 @@ fn general_algorithm_truncates_to_exact_prefixes() {
         ir_weight: 1.0,
         dist_weight: 0.05,
     };
-    let full = general_topk(
+    let full = general_topk_traced(
         db.ir2_tree(),
         db.object_store(),
         db.vocab(),
         &SaturatingTfIdf,
         &rank,
         &q,
+        NopSink,
     )
     .unwrap();
     let full_ids: Vec<u64> = full.iter().map(|r| r.object.id).collect();
     let mut saw_truncation = false;
     for budget in 0..=400u64 {
-        let out = general_topk_limited(
+        let out = general_topk_limited_traced(
             db.ir2_tree(),
             db.object_store(),
             db.vocab(),
@@ -195,6 +198,7 @@ fn general_algorithm_truncates_to_exact_prefixes() {
             &rank,
             &q,
             QueryLimits::none().with_io_budget(budget),
+            NopSink,
         )
         .unwrap();
         saw_truncation |= out.is_truncated();

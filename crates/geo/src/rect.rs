@@ -216,6 +216,12 @@ impl<const N: usize> fmt::Debug for Rect<N> {
     }
 }
 
+impl<const N: usize> From<Point<N>> for Rect<N> {
+    fn from(p: Point<N>) -> Self {
+        Self::from_point(p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,11 @@
 //! The R-Tree baseline algorithm (Section 5.1).
 
-use ir2_model::{
-    DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, QueryLimits, SpatialObject,
-    TruncateReason,
-};
-use ir2_rtree::{with_frontier_prefetch, NnIter, PrefetchQueue, RTree, UnitPayload};
+use ir2_geo::Rect;
+use ir2_model::{ObjPtr, ObjectSource, QueryLimits, QueryRegion, SpatialObject, TruncateReason};
+use ir2_rtree::{NnIter, RTree, UnitPayload};
 use ir2_storage::{BlockDevice, Result};
 
+use crate::distance_first::{collect_k, next_hit, BestFirst};
 use crate::trace::{NopSink, TraceEvent, TraceSink};
 use crate::{BoundedStep, LimitedTopk, SearchCounters};
 
@@ -29,33 +28,28 @@ pub struct RtreeBaselineIter<'a, const N: usize, D, S: TraceSink = NopSink> {
     sink: S,
 }
 
-impl<'a, const N: usize, D: BlockDevice> RtreeBaselineIter<'a, N, D> {
-    /// Starts the incremental baseline search.
+impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, D, S> {
+    /// Starts the incremental baseline search from `region` (a point or an
+    /// area) for normalized `keywords`, reporting each object fetch to
+    /// `sink`. The baseline has no signatures and its node visits happen
+    /// inside the plain NN iterator, so the trace records
+    /// [`TraceEvent::ObjectFetched`] only — which is exactly its cost
+    /// story: the march of candidate loads.
     pub fn new(
         tree: &'a RTree<N, D, UnitPayload>,
         objects: &'a dyn ObjectSource<N>,
-        query: &DistanceFirstQuery<N>,
-    ) -> Self {
-        Self::with_sink(tree, objects, query, NopSink)
-    }
-}
-
-impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, D, S> {
-    /// Starts the incremental baseline search, reporting each object fetch
-    /// to `sink`. The baseline has no signatures and its node visits
-    /// happen inside the plain NN iterator, so the trace records
-    /// [`TraceEvent::ObjectFetched`] only — which is exactly its cost
-    /// story: the march of candidate loads.
-    pub fn with_sink(
-        tree: &'a RTree<N, D, UnitPayload>,
-        objects: &'a dyn ObjectSource<N>,
-        query: &DistanceFirstQuery<N>,
+        region: impl Into<QueryRegion<N>>,
+        keywords: Vec<String>,
         sink: S,
     ) -> Self {
+        let anchor = match region.into() {
+            QueryRegion::Point(p) => Rect::from_point(p),
+            QueryRegion::Area(a) => a,
+        };
         Self {
-            nn: tree.nearest(query.point),
+            nn: tree.nearest(anchor),
             objects,
-            keywords: query.keywords.clone(),
+            keywords,
             counters: SearchCounters::default(),
             limits: QueryLimits::none(),
             truncated: None,
@@ -67,13 +61,6 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
     /// [`DistanceFirstIter::limited`](crate::DistanceFirstIter::limited).
     pub fn limited(mut self, limits: QueryLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Attaches a frontier-prefetch queue to the inner NN iterator; see
-    /// [`NnIter::prefetching`].
-    pub fn prefetching(mut self, queue: PrefetchQueue) -> Self {
-        self.nn = self.nn.prefetching(queue);
         self
     }
 
@@ -155,12 +142,17 @@ impl<'a, const N: usize, D: BlockDevice, S: TraceSink> RtreeBaselineIter<'a, N, 
             self.counters.false_positives += 1;
         }
     }
+}
 
-    fn step(&mut self) -> Result<Option<(SpatialObject<N>, f64)>> {
-        Ok(match self.next_within(f64::INFINITY)? {
-            BoundedStep::Hit(obj, d) => Some((obj, d)),
-            _ => None,
-        })
+impl<const N: usize, D: BlockDevice, S: TraceSink> BestFirst<N> for RtreeBaselineIter<'_, N, D, S> {
+    fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>> {
+        RtreeBaselineIter::next_within(self, limit)
+    }
+    fn counters(&self) -> SearchCounters {
+        RtreeBaselineIter::counters(self)
+    }
+    fn truncation(&self) -> Option<TruncateReason> {
+        self.truncated
     }
 }
 
@@ -168,139 +160,23 @@ impl<const N: usize, D: BlockDevice, S: TraceSink> Iterator for RtreeBaselineIte
     type Item = Result<(SpatialObject<N>, f64)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.step().transpose()
+        next_hit(self)
     }
-}
-
-/// Collects up to `k` results from a baseline iterator, then drains and
-/// reorders ties at the k-th distance into the workspace-wide canonical
-/// `(distance, id)` order (the bound is inclusive and the stream is
-/// non-decreasing, so the drain touches only the tied group).
-fn collect_k_baseline<const N: usize, D: BlockDevice, S: TraceSink>(
-    iter: &mut RtreeBaselineIter<'_, N, D, S>,
-    k: usize,
-) -> Result<Vec<(SpatialObject<N>, f64)>> {
-    let mut out = Vec::with_capacity(k.min(1024));
-    while out.len() < k {
-        match iter.step()? {
-            Some(hit) => out.push(hit),
-            None => break,
-        }
-    }
-    if out.len() == k && k > 0 && iter.truncation().is_none() {
-        let kth = out[k - 1].1;
-        while let BoundedStep::Hit(obj, d) = iter.next_within(kth)? {
-            out.push((obj, d));
-        }
-    }
-    // Unconditional: interior equal-distance groups emit in traversal
-    // order even when the stream exhausts below `k` (fuzzer-caught).
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-    out.truncate(k);
-    Ok(out)
 }
 
 /// Answers a distance-first top-k spatial keyword query with the R-Tree
-/// baseline, returning `(object, distance)` pairs in ascending distance and
-/// the search counters.
-pub fn rtree_baseline_topk<const N: usize, D: BlockDevice>(
+/// baseline; arguments and result as for
+/// [`distance_first_topk`](crate::distance_first_topk), whose collector it
+/// shares.
+pub fn rtree_baseline_topk<const N: usize, D: BlockDevice, S: TraceSink>(
     tree: &RTree<N, D, UnitPayload>,
     objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    rtree_baseline_topk_traced(tree, objects, query, NopSink)
-}
-
-/// [`rtree_baseline_topk`] with every object fetch reported to `sink`.
-pub fn rtree_baseline_topk_traced<const N: usize, D: BlockDevice, S: TraceSink>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink);
-    let out = collect_k_baseline(&mut iter, query.k)?;
-    Ok((out, iter.counters()))
-}
-
-/// [`rtree_baseline_topk`] under execution limits; a tripped limit yields
-/// [`ExecOutcome::Truncated`] whose results are the exact top-m prefix of
-/// the full answer (candidates emerge in distance order).
-pub fn rtree_baseline_topk_limited<const N: usize, D: BlockDevice>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-) -> Result<LimitedTopk<N>> {
-    rtree_baseline_topk_limited_traced(tree, objects, query, limits, NopSink)
-}
-
-/// [`rtree_baseline_topk_limited`] with every object fetch reported to
-/// `sink`.
-pub fn rtree_baseline_topk_limited_traced<const N: usize, D: BlockDevice, S: TraceSink>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
+    region: impl Into<QueryRegion<N>>,
+    keywords: &[String],
+    k: usize,
     limits: QueryLimits,
     sink: S,
 ) -> Result<LimitedTopk<N>> {
-    let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink).limited(limits);
-    let out = collect_k_baseline(&mut iter, query.k)?;
-    let counters = iter.counters();
-    let outcome = match iter.truncation() {
-        Some(reason) => ExecOutcome::Truncated {
-            reason,
-            results_so_far: out,
-        },
-        None => ExecOutcome::Complete(out),
-    };
-    Ok((outcome, counters))
-}
-
-/// [`rtree_baseline_topk_traced`] with speculative frontier prefetch (see
-/// [`with_frontier_prefetch`]); results are byte-identical, and with
-/// `workers == 0` or no node cache this *is* the unprefetched call.
-pub fn rtree_baseline_topk_prefetched_traced<const N: usize, D: BlockDevice, S: TraceSink>(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    workers: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    with_frontier_prefetch(tree, workers, |pf| {
-        let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink).prefetching(pf);
-        let out = collect_k_baseline(&mut iter, query.k)?;
-        Ok((out, iter.counters()))
-    })
-}
-
-/// [`rtree_baseline_topk_limited_traced`] with speculative frontier
-/// prefetch; see [`rtree_baseline_topk_prefetched_traced`].
-pub fn rtree_baseline_topk_prefetched_limited_traced<
-    const N: usize,
-    D: BlockDevice,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, UnitPayload>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-    workers: usize,
-    sink: S,
-) -> Result<LimitedTopk<N>> {
-    with_frontier_prefetch(tree, workers, |pf| {
-        let mut iter = RtreeBaselineIter::with_sink(tree, objects, query, sink)
-            .limited(limits)
-            .prefetching(pf);
-        let out = collect_k_baseline(&mut iter, query.k)?;
-        let counters = iter.counters();
-        let outcome = match iter.truncation() {
-            Some(reason) => ExecOutcome::Truncated {
-                reason,
-                results_so_far: out,
-            },
-            None => ExecOutcome::Complete(out),
-        };
-        Ok((outcome, counters))
-    })
+    let iter = RtreeBaselineIter::new(tree, objects, region, keywords.to_vec(), sink);
+    collect_k(iter.limited(limits), k)
 }

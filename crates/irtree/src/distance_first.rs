@@ -7,10 +7,9 @@ use std::collections::HashMap;
 
 use ir2_geo::OrderedF64;
 use ir2_model::{
-    DistanceFirstQuery, ExecOutcome, ObjPtr, ObjectSource, QueryLimits, QueryRegion, SpatialObject,
-    TruncateReason,
+    ExecOutcome, ObjPtr, ObjectSource, QueryLimits, QueryRegion, SpatialObject, TruncateReason,
 };
-use ir2_rtree::{with_frontier_prefetch, PrefetchQueue, RTree};
+use ir2_rtree::RTree;
 use ir2_sigfile::{EntryMask, Signature, SignatureBlock};
 use ir2_storage::{BlockDevice, Result};
 
@@ -39,10 +38,7 @@ pub struct SearchCounters {
     /// Of [`nodes_read`](SearchCounters::nodes_read), visits that had to
     /// decode the node (device read + CRC + entry decode) — including every
     /// visit on a tree with no cache attached. The conservation identity
-    /// `nodes_read == cache_hits + cache_misses` holds for every report;
-    /// prefetch workers decode out-of-band into the cache's *global* stats
-    /// and never touch these per-query counters, so the identity is exact
-    /// under prefetch too.
+    /// `nodes_read == cache_hits + cache_misses` holds for every report.
     pub cache_misses: u64,
 }
 
@@ -105,7 +101,6 @@ pub struct DistanceFirstIter<'a, const N: usize, D, P: SigPayload, S: TraceSink 
     counters: SearchCounters,
     limits: QueryLimits,
     truncated: Option<TruncateReason>,
-    prefetch: PrefetchQueue,
     /// Reusable per-node containment bitmask: the batched kernel writes
     /// every entry's verdict here in one pass, so steady-state pruning
     /// allocates nothing.
@@ -124,43 +119,20 @@ impl PartialOrd for Item {
     }
 }
 
-impl<'a, const N: usize, D: BlockDevice, P: SigPayload> DistanceFirstIter<'a, N, D, P> {
-    /// Starts the incremental search (`U.Enqueue(R.RootNode, 0)`).
-    pub fn new(
-        tree: &'a RTree<N, D, P>,
-        objects: &'a dyn ObjectSource<N>,
-        query: DistanceFirstQuery<N>,
-    ) -> Self {
-        Self::with_region(
-            tree,
-            objects,
-            QueryRegion::Point(query.point),
-            query.keywords,
-        )
-    }
-
-    /// Starts an incremental search anchored at an arbitrary region — the
-    /// paper's "an area could be used instead" of the query point. Results
-    /// inside an area region come out at distance zero, then in increasing
-    /// distance from the area's boundary.
-    pub fn with_region(
-        tree: &'a RTree<N, D, P>,
-        objects: &'a dyn ObjectSource<N>,
-        region: QueryRegion<N>,
-        keywords: Vec<String>,
-    ) -> Self {
-        Self::with_region_sink(tree, objects, region, keywords, NopSink)
-    }
-}
-
 impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     DistanceFirstIter<'a, N, D, P, S>
 {
-    /// Starts an incremental search that reports every step to `sink`.
-    pub fn with_region_sink(
+    /// Starts the incremental search (`U.Enqueue(R.RootNode, 0)`) anchored
+    /// at `region`: a query point, or an area — the paper's "an area could
+    /// be used instead". Results inside an area come out at distance zero,
+    /// then in increasing distance from its boundary. `keywords` are
+    /// normalized query keywords (see
+    /// [`normalize_keywords`](ir2_text::normalize_keywords)), and every
+    /// step is reported to `sink`.
+    pub fn new(
         tree: &'a RTree<N, D, P>,
         objects: &'a dyn ObjectSource<N>,
-        region: QueryRegion<N>,
+        region: impl Into<QueryRegion<N>>,
         keywords: Vec<String>,
         sink: S,
     ) -> Self {
@@ -171,7 +143,7 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
         Self {
             tree,
             objects,
-            region,
+            region: region.into(),
             keywords,
             query_sigs: HashMap::new(),
             heap,
@@ -179,7 +151,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
             counters: SearchCounters::default(),
             limits: QueryLimits::none(),
             truncated: None,
-            prefetch: PrefetchQueue::disabled(),
             mask: EntryMask::new(),
             sink,
         }
@@ -192,15 +163,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     /// order.
     pub fn limited(mut self, limits: QueryLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Attaches a frontier-prefetch queue (see
-    /// [`with_frontier_prefetch`]): each node expansion nominates up to
-    /// `queue.width()` signature-passing child nodes for background decode
-    /// into the tree's node cache. Results and rank order are unaffected.
-    pub fn prefetching(mut self, queue: PrefetchQueue) -> Self {
-        self.prefetch = queue;
         self
     }
 
@@ -307,7 +269,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                         heap,
                         seq,
                         counters,
-                        prefetch,
                         mask,
                         sink,
                         ..
@@ -326,7 +287,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                     // One batched kernel pass computes every entry's
                     // containment verdict into the reusable bitmask.
                     esigs.matches_mask_into(qsig, mask);
-                    let mut speculate = prefetch.width();
                     for i in 0..node.len() {
                         // "if s matches w": drop entries whose signature
                         // does not contain the query signature.
@@ -344,10 +304,6 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
                         let item = if node.is_leaf() {
                             Item::Object(child)
                         } else {
-                            if speculate > 0 {
-                                prefetch.enqueue(child);
-                                speculate -= 1;
-                            }
                             Item::Node(child)
                         };
                         heap.push(Reverse((d, *seq, item)));
@@ -359,14 +315,17 @@ impl<'a, const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
     }
 }
 
-impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>
-    DistanceFirstIter<'_, N, D, P, S>
+impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> BestFirst<N>
+    for DistanceFirstIter<'_, N, D, P, S>
 {
-    fn step(&mut self) -> Result<Option<(SpatialObject<N>, f64)>> {
-        Ok(match self.next_within(f64::INFINITY)? {
-            BoundedStep::Hit(obj, d) => Some((obj, d)),
-            _ => None,
-        })
+    fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>> {
+        DistanceFirstIter::next_within(self, limit)
+    }
+    fn counters(&self) -> SearchCounters {
+        self.counters
+    }
+    fn truncation(&self) -> Option<TruncateReason> {
+        self.truncated
     }
 }
 
@@ -376,18 +335,28 @@ impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> Iterator
     type Item = Result<(SpatialObject<N>, f64)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.step().transpose()
+        next_hit(self)
     }
 }
 
 /// Answers a distance-first top-k spatial keyword query over an IR²- or
-/// MIR²-Tree (the paper's `IR2TopK(R, Q)`), returning `(object, distance)`
-/// pairs in ascending distance together with the search counters.
+/// MIR²-Tree — the paper's `IR2TopK(R, Q)` — anchored at `region` (a point,
+/// or an area whose contents come out at distance zero). Returns
+/// `(object, distance)` pairs in ascending `(distance, id)` order with the
+/// search counters.
+///
+/// `keywords` are normalized query keywords, as
+/// [`DistanceFirstQuery`](ir2_model::DistanceFirstQuery) keeps them. The
+/// run stops cooperatively once `limits` trips ([`QueryLimits::none`] never
+/// does); a truncated run yields [`ExecOutcome::Truncated`] whose results
+/// are the exact top-m prefix of the full answer. Every step is reported
+/// to `sink` ([`NopSink`](crate::NopSink) compiles the tracing away; pass
+/// `&mut sink` to keep ownership).
 ///
 /// ```
 /// use std::sync::Arc;
-/// use ir2_irtree::{distance_first_topk, insert_object, Ir2Payload};
-/// use ir2_model::{DistanceFirstQuery, ObjectStore, SpatialObject};
+/// use ir2_irtree::{distance_first_topk, insert_object, Ir2Payload, NopSink};
+/// use ir2_model::{DistanceFirstQuery, ObjectStore, QueryLimits, SpatialObject};
 /// use ir2_rtree::{RTree, RTreeConfig};
 /// use ir2_sigfile::SignatureScheme;
 /// use ir2_storage::MemDevice;
@@ -403,289 +372,81 @@ impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink> Iterator
 ///     insert_object(&tree, store.append(&obj)?, &obj)?;
 /// }
 /// let q = DistanceFirstQuery::new([0.0, 0.0], &["cafe"], 2);
-/// let (hits, _) = distance_first_topk(&tree, store.as_ref(), &q)?;
+/// let (outcome, _) = distance_first_topk(
+///     &tree, store.as_ref(), q.point, &q.keywords, q.k, QueryLimits::none(), NopSink,
+/// )?;
+/// let hits = outcome.into_results();
 /// assert_eq!(hits.len(), 2);
 /// assert_eq!(hits[0].0.id, 0); // the nearest cafe first
 /// # Ok::<(), ir2_storage::StorageError>(())
 /// ```
-pub fn distance_first_topk<const N: usize, D: BlockDevice, P: SigPayload>(
+pub fn distance_first_topk<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
     tree: &RTree<N, D, P>,
     objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let iter = DistanceFirstIter::new(tree, objects, query.clone());
-    collect_k(iter, query.k)
-}
-
-/// [`distance_first_topk`] with every execution step reported to `sink`
-/// (pass `&mut sink` to keep ownership — sinks are usable by reference).
-pub fn distance_first_topk_traced<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let iter = DistanceFirstIter::with_region_sink(
-        tree,
-        objects,
-        QueryRegion::Point(query.point),
-        query.keywords.clone(),
-        sink,
-    );
-    collect_k(iter, query.k)
-}
-
-/// Distance-first top-k anchored at an arbitrary [`QueryRegion`] (point or
-/// area). Keywords are normalized like [`DistanceFirstQuery::new`] does.
-pub fn distance_first_region_topk<const N: usize, D: BlockDevice, P: SigPayload>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: &[String],
-    k: usize,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    distance_first_region_topk_traced(tree, objects, region, keywords, k, NopSink)
-}
-
-/// [`distance_first_region_topk`] with every step reported to `sink`.
-pub fn distance_first_region_topk_traced<
-    const N: usize,
-    D: BlockDevice,
-    P: SigPayload,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: &[String],
-    k: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let mut kws: Vec<String> = keywords
-        .iter()
-        .flat_map(|w| ir2_text::tokenize(w).collect::<Vec<_>>())
-        .collect();
-    kws.sort_unstable();
-    kws.dedup();
-    let iter = DistanceFirstIter::with_region_sink(tree, objects, region, kws, sink);
-    collect_k(iter, k)
-}
-
-/// [`distance_first_topk`] under execution limits. A tripped limit yields
-/// [`ExecOutcome::Truncated`] whose `results_so_far` is the exact top-m
-/// prefix of the full answer (never an error).
-pub fn distance_first_topk_limited<const N: usize, D: BlockDevice, P: SigPayload>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-) -> Result<LimitedTopk<N>> {
-    let iter = DistanceFirstIter::new(tree, objects, query.clone()).limited(limits);
-    collect_k_limited(iter, query.k)
-}
-
-/// [`distance_first_topk_limited`] with every step reported to `sink`.
-pub fn distance_first_topk_limited_traced<
-    const N: usize,
-    D: BlockDevice,
-    P: SigPayload,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-    sink: S,
-) -> Result<LimitedTopk<N>> {
-    let iter = DistanceFirstIter::with_region_sink(
-        tree,
-        objects,
-        QueryRegion::Point(query.point),
-        query.keywords.clone(),
-        sink,
-    )
-    .limited(limits);
-    collect_k_limited(iter, query.k)
-}
-
-/// [`distance_first_region_topk_traced`] under execution limits.
-pub fn distance_first_region_topk_limited_traced<
-    const N: usize,
-    D: BlockDevice,
-    P: SigPayload,
-    S: TraceSink,
->(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
+    region: impl Into<QueryRegion<N>>,
     keywords: &[String],
     k: usize,
     limits: QueryLimits,
     sink: S,
 ) -> Result<LimitedTopk<N>> {
-    let mut kws: Vec<String> = keywords
-        .iter()
-        .flat_map(|w| ir2_text::tokenize(w).collect::<Vec<_>>())
-        .collect();
-    kws.sort_unstable();
-    kws.dedup();
-    let iter =
-        DistanceFirstIter::with_region_sink(tree, objects, region, kws, sink).limited(limits);
-    collect_k_limited(iter, k)
+    let iter = DistanceFirstIter::new(tree, objects, region, keywords.to_vec(), sink);
+    collect_k(iter.limited(limits), k)
 }
 
-/// [`distance_first_topk_traced`] with speculative frontier prefetch: up
-/// to `workers` background threads decode upcoming frontier nodes into the
-/// tree's node cache while the traversal works. Results are byte-identical
-/// to the unprefetched call; with `workers == 0` or no attached node cache
-/// this *is* the unprefetched call (nothing is spawned).
-pub fn distance_first_topk_prefetched_traced<const N: usize, D, P, S>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    workers: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)>
-where
-    D: BlockDevice,
-    P: SigPayload + Sync,
-    S: TraceSink,
-{
-    with_frontier_prefetch(tree, workers, |pf| {
-        let iter = DistanceFirstIter::with_region_sink(
-            tree,
-            objects,
-            QueryRegion::Point(query.point),
-            query.keywords.clone(),
-            sink,
-        )
-        .prefetching(pf);
-        collect_k(iter, query.k)
-    })
+/// A best-first stream of verified results in non-decreasing distance —
+/// what [`collect_k`] drives. Both distance-first iterators implement it.
+pub(crate) trait BestFirst<const N: usize> {
+    fn next_within(&mut self, limit: f64) -> Result<BoundedStep<N>>;
+    fn counters(&self) -> SearchCounters;
+    fn truncation(&self) -> Option<TruncateReason>;
 }
 
-/// [`distance_first_topk_limited_traced`] with speculative frontier
-/// prefetch; see [`distance_first_topk_prefetched_traced`].
-pub fn distance_first_topk_prefetched_limited_traced<const N: usize, D, P, S>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    query: &DistanceFirstQuery<N>,
-    limits: QueryLimits,
-    workers: usize,
-    sink: S,
-) -> Result<LimitedTopk<N>>
-where
-    D: BlockDevice,
-    P: SigPayload + Sync,
-    S: TraceSink,
-{
-    with_frontier_prefetch(tree, workers, |pf| {
-        let iter = DistanceFirstIter::with_region_sink(
-            tree,
-            objects,
-            QueryRegion::Point(query.point),
-            query.keywords.clone(),
-            sink,
-        )
-        .limited(limits)
-        .prefetching(pf);
-        collect_k_limited(iter, query.k)
-    })
-}
-
-/// [`distance_first_region_topk_traced`] with speculative frontier
-/// prefetch; see [`distance_first_topk_prefetched_traced`].
-pub fn distance_first_region_topk_prefetched_traced<const N: usize, D, P, S>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    region: QueryRegion<N>,
-    keywords: &[String],
-    k: usize,
-    workers: usize,
-    sink: S,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)>
-where
-    D: BlockDevice,
-    P: SigPayload + Sync,
-    S: TraceSink,
-{
-    let mut kws: Vec<String> = keywords
-        .iter()
-        .flat_map(|w| ir2_text::tokenize(w).collect::<Vec<_>>())
-        .collect();
-    kws.sort_unstable();
-    kws.dedup();
-    with_frontier_prefetch(tree, workers, |pf| {
-        let iter =
-            DistanceFirstIter::with_region_sink(tree, objects, region, kws, sink).prefetching(pf);
-        collect_k(iter, k)
-    })
-}
-
-/// Canonicalizes a distance-ordered result list to the workspace-wide
-/// `(distance, id)` tie order. Two distinct situations need it:
-///
-/// - the stream produced `k` results: every further result *at the k-th
-///   distance* must first be drained (the bound is inclusive and the
-///   stream is non-decreasing, so `next_within` touches only the tied
-///   group) so the cut keeps the id-smallest tied members;
-/// - the stream exhausted below `k`: no drain is needed, but *interior*
-///   equal-distance groups still sit in traversal order — the
-///   differential fuzzer caught exactly this against the brute-force
-///   oracle (`ir2 fuzz`, seed 42 iter 1: k past the match count left
-///   tied pairs swapped).
-///
-/// Both end with the same full `(distance, id)` sort, so every collector
-/// calls this unconditionally before returning.
-fn canonicalize_ties<const N: usize>(out: &mut Vec<(SpatialObject<N>, f64)>, k: usize) {
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-    out.truncate(k);
-}
-
-fn collect_k<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    mut iter: DistanceFirstIter<'_, N, D, P, S>,
-    k: usize,
-) -> Result<(Vec<(SpatialObject<N>, f64)>, SearchCounters)> {
-    let mut out = Vec::with_capacity(k.min(1024));
-    while out.len() < k {
-        match iter.step()? {
-            Some(hit) => out.push(hit),
-            None => break,
-        }
+/// The iterators' `next`: one unbounded step.
+pub(crate) fn next_hit<const N: usize>(
+    iter: &mut impl BestFirst<N>,
+) -> Option<Result<(SpatialObject<N>, f64)>> {
+    match iter.next_within(f64::INFINITY) {
+        Ok(BoundedStep::Hit(obj, d)) => Some(Ok((obj, d))),
+        Ok(_) => None,
+        Err(e) => Some(Err(e)),
     }
-    if out.len() == k && k > 0 {
-        let kth = out[k - 1].1;
-        while let BoundedStep::Hit(obj, d) = iter.next_within(kth)? {
-            out.push((obj, d));
-        }
-    }
-    canonicalize_ties(&mut out, k);
-    Ok((out, iter.counters()))
 }
 
-fn collect_k_limited<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    mut iter: DistanceFirstIter<'_, N, D, P, S>,
+/// The one top-k collector: takes up to `k` results, then drains every
+/// further result *at the k-th distance* (the bound is inclusive and the
+/// stream non-decreasing, so the drain touches only the tied group) and
+/// sorts the whole list into the workspace-wide `(distance, id)` order.
+///
+/// The sort is unconditional: when the stream exhausts below `k` no drain
+/// runs, but *interior* equal-distance groups still sit in traversal
+/// order — the differential fuzzer caught exactly this against the
+/// brute-force oracle (`ir2 fuzz`, seed 42 iter 1: k past the match count
+/// left tied pairs swapped).
+///
+/// The drain runs under the same limits as the search proper and is
+/// skipped once the run is truncated; a budget that trips mid-drain
+/// reports `Truncated` (the tied tail could not be canonicalized, so the
+/// choice of tied members is not guaranteed to be the
+/// `(distance, id)`-smallest). An unlimited run never trips.
+pub(crate) fn collect_k<const N: usize>(
+    mut iter: impl BestFirst<N>,
     k: usize,
 ) -> Result<LimitedTopk<N>> {
     let mut out = Vec::with_capacity(k.min(1024));
     while out.len() < k {
-        match iter.step()? {
-            Some(hit) => out.push(hit),
-            None => break,
+        match iter.next_within(f64::INFINITY)? {
+            BoundedStep::Hit(obj, d) => out.push((obj, d)),
+            _ => break,
         }
     }
     if out.len() == k && k > 0 && iter.truncation().is_none() {
-        // The tie drain runs under the same limits as the search proper; a
-        // budget that trips mid-drain reports `Truncated` (the tied tail
-        // could not be canonicalized, so the choice of tied members is not
-        // guaranteed to be the `(distance, id)`-smallest).
         let kth = out[k - 1].1;
         while let BoundedStep::Hit(obj, d) = iter.next_within(kth)? {
             out.push((obj, d));
         }
     }
-    canonicalize_ties(&mut out, k);
-    let counters = iter.counters();
+    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
+    out.truncate(k);
     let outcome = match iter.truncation() {
         Some(reason) => ExecOutcome::Truncated {
             reason,
@@ -693,5 +454,5 @@ fn collect_k_limited<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink
         },
         None => ExecOutcome::Complete(out),
     };
-    Ok((outcome, counters))
+    Ok((outcome, iter.counters()))
 }

@@ -6,12 +6,12 @@ use std::collections::HashMap;
 
 use ir2_geo::{OrderedF64, Point};
 use ir2_model::{ExecOutcome, ObjPtr, ObjectSource, QueryLimits, SpatialObject};
-use ir2_rtree::{with_frontier_prefetch, PrefetchQueue, RTree};
+use ir2_rtree::RTree;
 use ir2_sigfile::{EntryMask, Signature, SignatureBlock};
 use ir2_storage::{BlockDevice, Result};
-use ir2_text::{tokenize, IrScorer, RankingFn, TermId, Vocabulary};
+use ir2_text::{normalize_keywords, IrScorer, RankingFn, TermId, Vocabulary};
 
-use crate::trace::{NopSink, TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use crate::SigPayload;
 
 /// A general top-k spatial keyword query: keywords are *preferences*, not a
@@ -34,15 +34,9 @@ pub struct GeneralQuery<const N: usize> {
 impl<const N: usize> GeneralQuery<N> {
     /// Builds a query with normalized, deduplicated keywords.
     pub fn new<S: AsRef<str>>(point: impl Into<Point<N>>, keywords: &[S], k: usize) -> Self {
-        let mut kws: Vec<String> = keywords
-            .iter()
-            .flat_map(|w| tokenize(w.as_ref()).collect::<Vec<_>>())
-            .collect();
-        kws.sort_unstable();
-        kws.dedup();
         Self {
             point: point.into(),
-            keywords: kws,
+            keywords: normalize_keywords(keywords),
             k,
             require_match: true,
         }
@@ -93,62 +87,18 @@ enum GItem<const N: usize> {
 /// workspace: signatures have no false negatives (a node's matched set
 /// contains every descendant's) and `f` is decreasing in distance /
 /// increasing in IR score.
-pub fn general_topk<const N: usize, D: BlockDevice, P: SigPayload>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-) -> Result<Vec<ScoredResult<N>>> {
-    general_topk_traced(tree, objects, vocab, scorer, rank, query, NopSink)
-}
-
-/// [`general_topk`] with every step reported to `sink`. Signature tests
-/// are recorded per *keyword* probe (the general algorithm tests each
-/// query keyword's signature individually to find the matched subset), and
-/// a visited node's `mindist` field carries its pop priority — the score
-/// upper bound `Upper(v)`, infinite for the root — since the traversal is
-/// ordered by score, not distance.
-pub fn general_topk_traced<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    sink: S,
-) -> Result<Vec<ScoredResult<N>>> {
-    general_topk_limited_traced(
-        tree,
-        objects,
-        vocab,
-        scorer,
-        rank,
-        query,
-        QueryLimits::none(),
-        sink,
-    )
-    .map(ExecOutcome::into_results)
-}
-
-/// [`general_topk`] under execution limits.
-pub fn general_topk_limited<const N: usize, D: BlockDevice, P: SigPayload>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    limits: QueryLimits,
-) -> Result<ExecOutcome<Vec<ScoredResult<N>>>> {
-    general_topk_limited_traced(tree, objects, vocab, scorer, rank, query, limits, NopSink)
-}
-
-/// [`general_topk_traced`] under execution limits, checked cooperatively
-/// before each heap pop. Results are emitted only when their actual score
-/// dominates every remaining upper bound, i.e. in final rank order — so a
-/// truncated run's results are the exact top-m prefix of the full answer.
+///
+/// Limits are checked cooperatively before each heap pop
+/// ([`QueryLimits::none`] never trips). Results are emitted only when their
+/// actual score dominates every remaining upper bound, i.e. in final rank
+/// order — so a truncated run's results are the exact top-m prefix of the
+/// full answer.
+///
+/// Every step is reported to `sink` ([`NopSink`](crate::NopSink) compiles
+/// the tracing away). Signature tests are recorded per *keyword* probe,
+/// and a visited node's `mindist` field carries its pop priority — the
+/// score upper bound `Upper(v)`, infinite for the root — since the
+/// traversal is ordered by score, not distance.
 #[allow(clippy::too_many_arguments)]
 pub fn general_topk_limited_traced<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
     tree: &RTree<N, D, P>,
@@ -158,60 +108,7 @@ pub fn general_topk_limited_traced<const N: usize, D: BlockDevice, P: SigPayload
     rank: &dyn RankingFn,
     query: &GeneralQuery<N>,
     limits: QueryLimits,
-    sink: S,
-) -> Result<ExecOutcome<Vec<ScoredResult<N>>>> {
-    general_impl(
-        tree,
-        objects,
-        vocab,
-        scorer,
-        rank,
-        query,
-        limits,
-        sink,
-        &PrefetchQueue::disabled(),
-    )
-}
-
-/// [`general_topk`] with speculative frontier prefetch (see
-/// [`with_frontier_prefetch`]); results are byte-identical, and with
-/// `workers == 0` or no node cache this *is* the unprefetched call.
-pub fn general_topk_prefetched<const N: usize, D: BlockDevice, P: SigPayload + Sync>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    workers: usize,
-) -> Result<Vec<ScoredResult<N>>> {
-    with_frontier_prefetch(tree, workers, |pf| {
-        general_impl(
-            tree,
-            objects,
-            vocab,
-            scorer,
-            rank,
-            query,
-            QueryLimits::none(),
-            NopSink,
-            &pf,
-        )
-        .map(ExecOutcome::into_results)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn general_impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
-    tree: &RTree<N, D, P>,
-    objects: &dyn ObjectSource<N>,
-    vocab: &Vocabulary,
-    scorer: &dyn IrScorer,
-    rank: &dyn RankingFn,
-    query: &GeneralQuery<N>,
-    limits: QueryLimits,
     mut sink: S,
-    prefetch: &PrefetchQueue,
 ) -> Result<ExecOutcome<Vec<ScoredResult<N>>>> {
     // Query terms present in the corpus (absent terms can never contribute
     // to any document's score).
@@ -351,7 +248,6 @@ fn general_impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
                 for (s, m) in sigs.iter().zip(keyword_masks.iter_mut()) {
                     esigs.matches_mask_into(s, m);
                 }
-                let mut speculate = prefetch.width();
                 for i in 0..node.len() {
                     let matched: Vec<TermId> = term_ids
                         .iter()
@@ -376,10 +272,6 @@ fn general_impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
                     let item = if node.is_leaf() {
                         GItem::Candidate(child)
                     } else {
-                        if speculate > 0 {
-                            prefetch.enqueue(child);
-                            speculate -= 1;
-                        }
                         GItem::Node(child)
                     };
                     push(&mut heap, &mut items, &mut seq, child_upper, item);
@@ -394,4 +286,27 @@ fn general_impl<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
         },
         None => ExecOutcome::Complete(out),
     })
+}
+
+/// [`general_topk_limited_traced`] without limits.
+pub fn general_topk_traced<const N: usize, D: BlockDevice, P: SigPayload, S: TraceSink>(
+    tree: &RTree<N, D, P>,
+    objects: &dyn ObjectSource<N>,
+    vocab: &Vocabulary,
+    scorer: &dyn IrScorer,
+    rank: &dyn RankingFn,
+    query: &GeneralQuery<N>,
+    sink: S,
+) -> Result<Vec<ScoredResult<N>>> {
+    general_topk_limited_traced(
+        tree,
+        objects,
+        vocab,
+        scorer,
+        rank,
+        query,
+        QueryLimits::none(),
+        sink,
+    )
+    .map(ExecOutcome::into_results)
 }

@@ -17,22 +17,28 @@
 //! * object-level insert/delete/bulk-load helpers that tokenize documents
 //!   and maintain signatures ([`insert_object`], [`delete_object`],
 //!   [`bulk_load_objects`]);
-//! * the **distance-first IR² algorithm** (Figure 8's `IR2TopK` /
-//!   `IR2NearestNeighbor`) as an incremental iterator —
-//!   [`DistanceFirstIter`] / [`distance_first_topk`];
-//! * the **general IR² algorithm** (Section 5.3) ranking by
-//!   `f(distance, IRscore)` with sound signature-derived upper bounds —
-//!   [`general_topk`];
-//! * the **R-Tree baseline** (Section 5.1) for comparison —
-//!   [`rtree_baseline_topk`].
+//! * the query algorithms, one entry point each:
 //!
-//! Both query algorithms "can also operate on MIR²-Trees with no
+//!   | entry point | algorithm |
+//!   |---|---|
+//!   | [`distance_first_topk`] | distance-first IR² (Figure 8's `IR2TopK`) |
+//!   | [`rtree_baseline_topk`] | R-Tree baseline (Section 5.1) |
+//!   | [`general_topk_limited_traced`] | general IR², ranked by `f(distance, IRscore)` (Section 5.3) |
+//!   | [`keyword_window_query`] | Boolean keywords within a window |
+//!
+//!   [`general_topk_traced`] is the general algorithm without limits.
+//!   The two distance-first entry points take a region (point or area),
+//!   normalized keywords, `k`, [`QueryLimits`](ir2_model::QueryLimits) and
+//!   a [`TraceSink`], and share one top-k collector; their incremental
+//!   forms are [`DistanceFirstIter`] and [`RtreeBaselineIter`].
+//!
+//! Both signature algorithms "can also operate on MIR²-Trees with no
 //! modification" — they are generic over the payload via [`SigPayload`].
 //!
-//! Every algorithm additionally accepts a [`TraceSink`] (`*_traced`
-//! variants) that receives one [`TraceEvent`] per node visit, signature
-//! test, and object fetch; the default [`NopSink`] makes the untraced
-//! paths compile to the uninstrumented code.
+//! An unlimited run passes [`QueryLimits::none`](ir2_model::QueryLimits::none),
+//! which never trips; an untraced run passes [`NopSink`], whose empty
+//! `record` monomorphizes away. The sink receives one [`TraceEvent`] per
+//! node visit, signature test, and object fetch.
 
 mod baseline;
 mod diagnostics;
@@ -43,23 +49,12 @@ mod payloads;
 pub mod trace;
 mod window;
 
-pub use baseline::{
-    rtree_baseline_topk, rtree_baseline_topk_limited, rtree_baseline_topk_limited_traced,
-    rtree_baseline_topk_prefetched_limited_traced, rtree_baseline_topk_prefetched_traced,
-    rtree_baseline_topk_traced, RtreeBaselineIter,
-};
+pub use baseline::{rtree_baseline_topk, RtreeBaselineIter};
 pub use diagnostics::{density_profile, LevelDensity};
 pub use distance_first::{
-    distance_first_region_topk, distance_first_region_topk_limited_traced,
-    distance_first_region_topk_prefetched_traced, distance_first_region_topk_traced,
-    distance_first_topk, distance_first_topk_limited, distance_first_topk_limited_traced,
-    distance_first_topk_prefetched_limited_traced, distance_first_topk_prefetched_traced,
-    distance_first_topk_traced, BoundedStep, DistanceFirstIter, LimitedTopk, SearchCounters,
+    distance_first_topk, BoundedStep, DistanceFirstIter, LimitedTopk, SearchCounters,
 };
-pub use general::{
-    general_topk, general_topk_limited, general_topk_limited_traced, general_topk_prefetched,
-    general_topk_traced, GeneralQuery, ScoredResult,
-};
+pub use general::{general_topk_limited_traced, general_topk_traced, GeneralQuery, ScoredResult};
 pub use objects::{bulk_load_objects, delete_object, insert_object};
 pub use payloads::{Ir2Payload, MirPayload, SigPayload};
 pub use trace::{LevelPruning, NopSink, StatsSink, TraceEvent, TraceSink, TraceStats, VecSink};

@@ -12,7 +12,7 @@ use ir2_model::{ObjPtr, ObjectSource, SpatialObject};
 use ir2_rtree::RTree;
 use ir2_sigfile::{payload_contains, Signature};
 use ir2_storage::{BlockDevice, Result};
-use ir2_text::tokenize;
+use ir2_text::normalize_keywords;
 
 use crate::{SearchCounters, SigPayload};
 
@@ -25,15 +25,7 @@ pub fn keyword_window_query<const N: usize, D: BlockDevice, P: SigPayload>(
     window: &Rect<N>,
     keywords: &[String],
 ) -> Result<(Vec<SpatialObject<N>>, SearchCounters)> {
-    let kws: Vec<String> = {
-        let mut v: Vec<String> = keywords
-            .iter()
-            .flat_map(|w| tokenize(w).collect::<Vec<_>>())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
+    let kws = normalize_keywords(keywords);
     let mut counters = SearchCounters::default();
     let mut out = Vec::new();
     let Some(root) = tree.root() else {

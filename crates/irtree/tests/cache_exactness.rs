@@ -1,20 +1,33 @@
-//! Property tests for the decoded-node cache and frontier prefetch: a
-//! cached (and prefetching) traversal must return **byte-identical**
-//! results to the uncached one, across arbitrary insert/delete/reinsert
+//! Property tests for the decoded-node cache: a cached traversal must
+//! return **byte-identical** results to the uncached one, across arbitrary insert/delete/reinsert
 //! interleavings — the epoch invalidation may never serve a stale node.
 
 use std::sync::Arc;
 
 use ir2_irtree::{
-    delete_object, distance_first_topk, distance_first_topk_prefetched_traced, general_topk,
-    general_topk_prefetched, insert_object, GeneralQuery, Ir2Payload, NopSink,
+    delete_object, distance_first_topk, general_topk_traced, insert_object, GeneralQuery,
+    Ir2Payload, NopSink, SearchCounters,
 };
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
+use ir2_model::{
+    DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, QueryLimits, SpatialObject,
+};
 use ir2_rtree::{NodeCache, RTree, RTreeConfig};
 use ir2_sigfile::SignatureScheme;
 use ir2_storage::MemDevice;
 use ir2_text::{tokenize, LinearRank, SaturatingTfIdf, Vocabulary};
 use proptest::prelude::*;
+
+/// Unlimited, untraced distance-first top-k: the answer and its counters.
+fn topk(
+    tree: &RTree<2, MemDevice, Ir2Payload>,
+    objects: &dyn ObjectSource<2>,
+    q: &DistanceFirstQuery<2>,
+) -> (Vec<(SpatialObject<2>, f64)>, SearchCounters) {
+    let none = QueryLimits::none();
+    let (out, counters) =
+        distance_first_topk(tree, objects, q.point, &q.keywords, q.k, none, NopSink).unwrap();
+    (out.into_results(), counters)
+}
 
 const WORDS: [&str; 10] = [
     "internet", "pool", "spa", "pets", "golf", "sauna", "suite", "gym", "bar", "wifi",
@@ -58,9 +71,9 @@ struct Fixture {
     store: Arc<ObjectStore<2, MemDevice>>,
     objects: Vec<(ObjPtr, SpatialObject<2>)>,
     vocab: Vocabulary,
-    /// Cache + prefetch enabled.
+    /// Node cache attached.
     warm: RTree<2, MemDevice, Ir2Payload>,
-    /// No cache, no prefetch — ground truth.
+    /// No cache — ground truth.
     cold: RTree<2, MemDevice, Ir2Payload>,
 }
 
@@ -121,15 +134,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Under an arbitrary interleaving of deletes, reinserts, and queries,
-    /// the cached + prefetching tree answers every query byte-identically
+    /// the cached tree answers every query byte-identically
     /// to the uncached tree — including the *warm* repeat of each query,
     /// which on the cached tree is served largely from decoded images.
     #[test]
-    fn cached_prefetched_topk_is_byte_identical_across_mutations(
+    fn cached_topk_is_byte_identical_across_mutations(
         docs in prop::collection::vec(arb_doc(), 5..40),
         steps in arb_steps(),
         seed in 0u64..500,
-        workers in 1usize..4,
     ) {
         let fx = build_fixture(&docs, seed);
         let mut present: Vec<bool> = vec![true; fx.objects.len()];
@@ -137,11 +149,9 @@ proptest! {
             let q = DistanceFirstQuery::new(p, &[WORDS[w]], 8);
             // Cold pass and warm repeat on the cached tree; single pass on
             // the ground-truth tree.
-            let (warm1, c1) = distance_first_topk_prefetched_traced(
-                &fx.warm, fx.store.as_ref(), &q, workers, NopSink).unwrap();
-            let (warm2, c2) = distance_first_topk_prefetched_traced(
-                &fx.warm, fx.store.as_ref(), &q, workers, NopSink).unwrap();
-            let (cold, _) = distance_first_topk(&fx.cold, fx.store.as_ref(), &q).unwrap();
+            let (warm1, c1) = topk(&fx.warm, fx.store.as_ref(), &q);
+            let (warm2, c2) = topk(&fx.warm, fx.store.as_ref(), &q);
+            let (cold, _) = topk(&fx.cold, fx.store.as_ref(), &q);
             assert_identical(&warm1, &cold);
             assert_identical(&warm2, &cold);
             // Visit counts are deterministic: the cache changes *where*
@@ -177,27 +187,26 @@ proptest! {
         }
     }
 
-    /// The general (ranked) algorithm under cache + prefetch matches its
-    /// uncached self score-for-score.
+    /// The general (ranked) algorithm under the cache matches its uncached
+    /// self score-for-score.
     #[test]
-    fn cached_prefetched_general_topk_is_identical(
+    fn cached_general_topk_is_identical(
         docs in prop::collection::vec(arb_doc(), 5..40),
         qpoint in prop::array::uniform2(-60.0f64..60.0),
         kw in prop::collection::vec(0..WORDS.len(), 1..4),
         k in 1usize..8,
         seed in 0u64..500,
-        workers in 1usize..4,
     ) {
         let fx = build_fixture(&docs, seed);
         let scorer = SaturatingTfIdf;
         let rank = LinearRank { ir_weight: 1.0, dist_weight: 0.02 };
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = GeneralQuery::new(qpoint, &kws, k);
-        let cold = general_topk(
-            &fx.cold, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q).unwrap();
+        let cold = general_topk_traced(
+            &fx.cold, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q, NopSink).unwrap();
         for _pass in 0..2 {
-            let warm = general_topk_prefetched(
-                &fx.warm, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q, workers).unwrap();
+            let warm = general_topk_traced(
+                &fx.warm, fx.store.as_ref(), &fx.vocab, &scorer, &rank, &q, NopSink).unwrap();
             prop_assert_eq!(warm.len(), cold.len());
             for (w, c) in warm.iter().zip(cold.iter()) {
                 prop_assert_eq!(w.object.id, c.object.id);
@@ -223,11 +232,9 @@ fn epoch_bump_evicts_stale_nodes_and_serves_new_truth() {
     let fx = build_fixture(&docs, 42);
     let q = DistanceFirstQuery::new([2.0, 2.0], &[WORDS[1]], 30);
 
-    let (_, cold_pass) =
-        distance_first_topk_prefetched_traced(&fx.warm, fx.store.as_ref(), &q, 0, NopSink).unwrap();
+    let (_, cold_pass) = topk(&fx.warm, fx.store.as_ref(), &q);
     assert_eq!(cold_pass.cache_hits, 0, "first pass fills the cache");
-    let (before, warm_pass) =
-        distance_first_topk_prefetched_traced(&fx.warm, fx.store.as_ref(), &q, 0, NopSink).unwrap();
+    let (before, warm_pass) = topk(&fx.warm, fx.store.as_ref(), &q);
     assert_eq!(
         warm_pass.cache_hits, warm_pass.nodes_read,
         "repeat pass is fully cache-served"
@@ -239,8 +246,7 @@ fn epoch_bump_evicts_stale_nodes_and_serves_new_truth() {
     fx.store.flush().unwrap();
     insert_object(&fx.warm, ptr, &obj).unwrap();
 
-    let (after, post) =
-        distance_first_topk_prefetched_traced(&fx.warm, fx.store.as_ref(), &q, 0, NopSink).unwrap();
+    let (after, post) = topk(&fx.warm, fx.store.as_ref(), &q);
     assert_eq!(
         post.cache_hits, 0,
         "mutation epoch evicts every cached node"

@@ -4,13 +4,29 @@
 use std::sync::Arc;
 
 use ir2_irtree::{
-    bulk_load_objects, distance_first_topk, general_topk, insert_object, rtree_baseline_topk,
-    DistanceFirstIter, GeneralQuery, Ir2Payload, MirPayload,
+    bulk_load_objects, distance_first_topk, general_topk_traced, insert_object,
+    rtree_baseline_topk, DistanceFirstIter, GeneralQuery, Ir2Payload, MirPayload, NopSink,
+    SearchCounters, SigPayload,
 };
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
+use ir2_model::{
+    DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, QueryLimits, SpatialObject,
+};
 use ir2_rtree::{RTree, RTreeConfig, UnitPayload};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
-use ir2_storage::MemDevice;
+use ir2_storage::{BlockDevice, MemDevice};
+
+/// Unlimited, untraced distance-first top-k: the answer and its counters.
+fn topk<D: BlockDevice, P: SigPayload>(
+    tree: &RTree<2, D, P>,
+    objects: &dyn ObjectSource<2>,
+    q: &DistanceFirstQuery<2>,
+) -> (Vec<(SpatialObject<2>, f64)>, SearchCounters) {
+    let none = QueryLimits::none();
+    let (out, counters) =
+        distance_first_topk(tree, objects, q.point, &q.keywords, q.k, none, NopSink).unwrap();
+    (out.into_results(), counters)
+}
+
 use ir2_text::{tokenize, DecayRank, SaturatingTfIdf, Vocabulary};
 
 const HOTELS: [(f64, f64, &str); 8] = [
@@ -94,7 +110,7 @@ fn example_3_distance_first_ir2() {
     let f = fixture();
     let tree = ir2_tree(&f);
     let q = DistanceFirstQuery::new([30.5, 100.0], &["internet", "pool"], 2);
-    let (res, counters) = distance_first_topk(&tree, f.store.as_ref(), &q).unwrap();
+    let (res, counters) = topk(&tree, f.store.as_ref(), &q);
     let ids: Vec<u64> = res.iter().map(|(o, _)| o.id).collect();
     assert_eq!(ids, vec![7, 2]);
     assert!((res[0].1 - 181.9).abs() < 0.05);
@@ -109,7 +125,7 @@ fn example_3_distance_first_mir2() {
     let f = fixture();
     let tree = mir2_tree(&f);
     let q = DistanceFirstQuery::new([30.5, 100.0], &["internet", "pool"], 2);
-    let (res, _) = distance_first_topk(&tree, f.store.as_ref(), &q).unwrap();
+    let (res, _) = topk(&tree, f.store.as_ref(), &q);
     let ids: Vec<u64> = res.iter().map(|(o, _)| o.id).collect();
     assert_eq!(ids, vec![7, 2], "MIR²-Tree must answer identically");
 }
@@ -119,7 +135,7 @@ fn empty_keywords_degenerate_to_example_1_nn_order() {
     let f = fixture();
     let tree = ir2_tree(&f);
     let q = DistanceFirstQuery::<2>::new([30.5, 100.0], &[] as &[&str], 8);
-    let (res, counters) = distance_first_topk(&tree, f.store.as_ref(), &q).unwrap();
+    let (res, counters) = topk(&tree, f.store.as_ref(), &q);
     let ids: Vec<u64> = res.iter().map(|(o, _)| o.id).collect();
     assert_eq!(ids, vec![4, 3, 5, 8, 6, 1, 7, 2], "Example 1's NN order");
     assert_eq!(counters.false_positives, 0);
@@ -148,8 +164,18 @@ fn baseline_agrees_with_ir2() {
         vec!["nowhere"],
     ] {
         let q = DistanceFirstQuery::new([30.5, 100.0], &keywords, 8);
-        let (a, ca) = distance_first_topk(&ir2, f.store.as_ref(), &q).unwrap();
-        let (b, cb) = rtree_baseline_topk(&plain, f.store.as_ref(), &q).unwrap();
+        let (a, ca) = topk(&ir2, f.store.as_ref(), &q);
+        let (b, cb) = rtree_baseline_topk(
+            &plain,
+            f.store.as_ref(),
+            q.point,
+            &q.keywords,
+            q.k,
+            QueryLimits::none(),
+            NopSink,
+        )
+        .unwrap();
+        let b = b.into_results();
         let ids_a: Vec<u64> = a.iter().map(|(o, _)| o.id).collect();
         let ids_b: Vec<u64> = b.iter().map(|(o, _)| o.id).collect();
         assert_eq!(ids_a, ids_b, "keywords {keywords:?}");
@@ -165,7 +191,7 @@ fn signature_pruning_saves_candidate_loads() {
     // "pets" appears in H5, H6, H8 only; the IR² search should prune
     // at least some non-matching entries.
     let q = DistanceFirstQuery::new([30.5, 100.0], &["pets"], 3);
-    let (res, counters) = distance_first_topk(&tree, f.store.as_ref(), &q).unwrap();
+    let (res, counters) = topk(&tree, f.store.as_ref(), &q);
     assert_eq!(res.len(), 3);
     assert!(
         counters.pruned_by_signature > 0,
@@ -178,7 +204,7 @@ fn incremental_iterator_is_lazy_and_resumable() {
     let f = fixture();
     let tree = ir2_tree(&f);
     let q = DistanceFirstQuery::new([30.5, 100.0], &["pool"], 5);
-    let mut iter = DistanceFirstIter::new(&tree, f.store.as_ref(), q);
+    let mut iter = DistanceFirstIter::new(&tree, f.store.as_ref(), q.point, q.keywords, NopSink);
     let first = iter.next().unwrap().unwrap();
     assert_eq!(first.0.id, 4); // H4 is the nearest pool hotel
     let rest: Vec<u64> = iter.map(|r| r.unwrap().0.id).collect();
@@ -190,11 +216,11 @@ fn k_exceeding_matches_and_absent_keyword() {
     let f = fixture();
     let tree = ir2_tree(&f);
     let q = DistanceFirstQuery::new([0.0, 0.0], &["internet", "pool"], 100);
-    let (res, _) = distance_first_topk(&tree, f.store.as_ref(), &q).unwrap();
+    let (res, _) = topk(&tree, f.store.as_ref(), &q);
     assert_eq!(res.len(), 2, "only two hotels have both keywords");
 
     let q = DistanceFirstQuery::new([0.0, 0.0], &["casino"], 3);
-    let (res, _) = distance_first_topk(&tree, f.store.as_ref(), &q).unwrap();
+    let (res, _) = topk(&tree, f.store.as_ref(), &q);
     assert!(res.is_empty());
 }
 
@@ -205,7 +231,16 @@ fn general_topk_ranks_by_combined_score() {
     let scorer = SaturatingTfIdf;
     let rank = DecayRank { scale: 100.0 };
     let q = GeneralQuery::new([30.5, 100.0], &["internet", "pool"], 8);
-    let res = general_topk(&tree, f.store.as_ref(), &f.vocab, &scorer, &rank, &q).unwrap();
+    let res = general_topk_traced(
+        &tree,
+        f.store.as_ref(),
+        &f.vocab,
+        &scorer,
+        &rank,
+        &q,
+        NopSink,
+    )
+    .unwrap();
 
     // Brute force over all hotels with the same scorer/ranker.
     let mut brute: Vec<(u64, f64)> = HOTELS
@@ -248,8 +283,26 @@ fn general_topk_on_mir2_matches_ir2() {
     let scorer = SaturatingTfIdf;
     let rank = DecayRank { scale: 50.0 };
     let q = GeneralQuery::new([30.5, 100.0], &["spa", "pool", "internet"], 5);
-    let a = general_topk(&ir2, f.store.as_ref(), &f.vocab, &scorer, &rank, &q).unwrap();
-    let b = general_topk(&mir2, f.store.as_ref(), &f.vocab, &scorer, &rank, &q).unwrap();
+    let a = general_topk_traced(
+        &ir2,
+        f.store.as_ref(),
+        &f.vocab,
+        &scorer,
+        &rank,
+        &q,
+        NopSink,
+    )
+    .unwrap();
+    let b = general_topk_traced(
+        &mir2,
+        f.store.as_ref(),
+        &f.vocab,
+        &scorer,
+        &rank,
+        &q,
+        NopSink,
+    )
+    .unwrap();
     let sa: Vec<f64> = a.iter().map(|r| r.score).collect();
     let sb: Vec<f64> = b.iter().map(|r| r.score).collect();
     assert_eq!(sa.len(), sb.len());
@@ -283,8 +336,8 @@ fn bulk_loaded_ir2_answers_identically() {
     bulk_load_objects(&bulk, items).unwrap();
 
     let q = DistanceFirstQuery::new([30.5, 100.0], &["internet", "pool"], 2);
-    let (a, _) = distance_first_topk(&incremental, f.store.as_ref(), &q).unwrap();
-    let (b, _) = distance_first_topk(&bulk, f.store.as_ref(), &q).unwrap();
+    let (a, _) = topk(&incremental, f.store.as_ref(), &q);
+    let (b, _) = topk(&bulk, f.store.as_ref(), &q);
     let ids_a: Vec<u64> = a.iter().map(|(o, _)| o.id).collect();
     let ids_b: Vec<u64> = b.iter().map(|(o, _)| o.id).collect();
     assert_eq!(ids_a, ids_b);

@@ -9,13 +9,27 @@
 use std::sync::Arc;
 
 use ir2_irtree::{
-    density_profile, distance_first_topk, distance_first_topk_traced, insert_object, Ir2Payload,
-    MirPayload, StatsSink,
+    density_profile, distance_first_topk, insert_object, Ir2Payload, MirPayload, NopSink,
+    SearchCounters, SigPayload, StatsSink, TraceSink,
 };
-use ir2_model::{DistanceFirstQuery, ObjectSource, ObjectStore, SpatialObject};
+use ir2_model::{DistanceFirstQuery, ObjectSource, ObjectStore, QueryLimits, SpatialObject};
 use ir2_rtree::{RTree, RTreeConfig};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
-use ir2_storage::MemDevice;
+use ir2_storage::{BlockDevice, MemDevice};
+
+/// Unlimited distance-first top-k traced into `sink`: the answer and its
+/// counters.
+fn topk<D: BlockDevice, P: SigPayload>(
+    tree: &RTree<2, D, P>,
+    objects: &dyn ObjectSource<2>,
+    q: &DistanceFirstQuery<2>,
+    sink: impl TraceSink,
+) -> (Vec<(SpatialObject<2>, f64)>, SearchCounters) {
+    let none = QueryLimits::none();
+    let (out, counters) =
+        distance_first_topk(tree, objects, q.point, &q.keywords, q.k, none, sink).unwrap();
+    (out.into_results(), counters)
+}
 
 /// Distinct grid point per object id, so "query from the object's own
 /// position with one of its words" has a unique distance-0 answer.
@@ -72,7 +86,7 @@ fn mir2_stays_exact_when_inserts_outgrow_the_scheme_ladder() {
         let word = o.token_set().iter().next().unwrap().to_string();
         let q = DistanceFirstQuery::new(*o.point.coords(), &[word.as_str()], 1);
         let mut sink = StatsSink::new();
-        let (hits, counters) = distance_first_topk_traced(&tree, &*store, &q, &mut sink).unwrap();
+        let (hits, counters) = topk(&tree, &*store, &q, &mut sink);
         assert_eq!(hits.len(), 1, "object {} not found via '{word}'", o.id);
         assert_eq!(hits[0].0.id, o.id, "wrong nearest match for '{word}'");
         assert_eq!(hits[0].1, 0.0);
@@ -115,7 +129,7 @@ fn traced_fp_rates_validate_density_profile_predictions() {
     for qi in 0..25u64 {
         let kw = format!("absentkeyword{qi}");
         let q = DistanceFirstQuery::new([(qi % 23) as f64, (qi % 17) as f64], &[kw.as_str()], 1);
-        let (hits, counters) = distance_first_topk_traced(&tree, &*store, &q, &mut sink).unwrap();
+        let (hits, counters) = topk(&tree, &*store, &q, &mut sink);
         assert!(hits.is_empty(), "absent keyword cannot produce results");
         assert_eq!(
             counters.candidates_checked, counters.false_positives,
@@ -185,10 +199,9 @@ fn nop_and_stats_sinks_agree_on_counters() {
     store.flush().unwrap();
 
     let q = DistanceFirstQuery::new([4.0, 2.0], &["w3", "w8"], 5);
-    let (plain_hits, plain_counters) = distance_first_topk(&tree, &*store, &q).unwrap();
+    let (plain_hits, plain_counters) = topk(&tree, &*store, &q, NopSink);
     let mut sink = StatsSink::new();
-    let (traced_hits, traced_counters) =
-        distance_first_topk_traced(&tree, &*store, &q, &mut sink).unwrap();
+    let (traced_hits, traced_counters) = topk(&tree, &*store, &q, &mut sink);
 
     // Tracing must not change the query's behavior in any observable way.
     assert_eq!(plain_counters, traced_counters);

@@ -6,15 +6,29 @@ use std::sync::Arc;
 
 use ir2_geo::Point;
 use ir2_irtree::{
-    delete_object, distance_first_topk, general_topk, insert_object, GeneralQuery, Ir2Payload,
-    MirPayload,
+    delete_object, distance_first_topk, general_topk_traced, insert_object, GeneralQuery,
+    Ir2Payload, MirPayload, NopSink, SearchCounters, SigPayload,
 };
-use ir2_model::{DistanceFirstQuery, ObjPtr, ObjectStore, SpatialObject};
+use ir2_model::{
+    DistanceFirstQuery, ObjPtr, ObjectSource, ObjectStore, QueryLimits, SpatialObject,
+};
 use ir2_rtree::{RTree, RTreeConfig};
 use ir2_sigfile::{MultiLevelScheme, SignatureScheme};
-use ir2_storage::MemDevice;
+use ir2_storage::{BlockDevice, MemDevice};
 use ir2_text::{tokenize, IrScorer, LinearRank, RankingFn, SaturatingTfIdf, Vocabulary};
 use proptest::prelude::*;
+
+/// Unlimited, untraced distance-first top-k: the answer and its counters.
+fn topk<D: BlockDevice, P: SigPayload>(
+    tree: &RTree<2, D, P>,
+    objects: &dyn ObjectSource<2>,
+    q: &DistanceFirstQuery<2>,
+) -> (Vec<(SpatialObject<2>, f64)>, SearchCounters) {
+    let none = QueryLimits::none();
+    let (out, counters) =
+        distance_first_topk(tree, objects, q.point, &q.keywords, q.k, none, NopSink).unwrap();
+    (out.into_results(), counters)
+}
 
 const WORDS: [&str; 12] = [
     "internet", "pool", "spa", "pets", "golf", "sauna", "suite", "gym", "bar", "wifi", "beach",
@@ -147,7 +161,7 @@ proptest! {
         let tree = ir2_of(&db, sig_bytes, seed);
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = DistanceFirstQuery::new(qpoint, &kws, k);
-        let (got, _) = distance_first_topk(&tree, db.store.as_ref(), &q).unwrap();
+        let (got, _) = topk(&tree, db.store.as_ref(), &q);
         let want = brute_distance_first(&db, &q);
         assert_distance_first_matches(&got, &want, &q.keywords);
     }
@@ -166,7 +180,7 @@ proptest! {
         let tree = mir2_of(&db, 2, seed);
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = DistanceFirstQuery::new(qpoint, &kws, k);
-        let (got, _) = distance_first_topk(&tree, db.store.as_ref(), &q).unwrap();
+        let (got, _) = topk(&tree, db.store.as_ref(), &q);
         let want = brute_distance_first(&db, &q);
         assert_distance_first_matches(&got, &want, &q.keywords);
     }
@@ -193,7 +207,7 @@ proptest! {
         db.objects = kept;
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = DistanceFirstQuery::new([0.0, 0.0], &kws, 8);
-        let (got, _) = distance_first_topk(&tree, db.store.as_ref(), &q).unwrap();
+        let (got, _) = topk(&tree, db.store.as_ref(), &q);
         let want = brute_distance_first(&db, &q);
         assert_distance_first_matches(&got, &want, &q.keywords);
 
@@ -219,7 +233,7 @@ proptest! {
         let rank = LinearRank { ir_weight: 1.0, dist_weight: 0.02 };
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = GeneralQuery::new(qpoint, &kws, k);
-        let got = general_topk(&tree, db.store.as_ref(), &db.vocab, &scorer, &rank, &q).unwrap();
+        let got = general_topk_traced(&tree, db.store.as_ref(), &db.vocab, &scorer, &rank, &q, NopSink).unwrap();
 
         // Brute force: score every object with ≥1 matching keyword.
         let term_ids: Vec<_> = q.keywords.iter().filter_map(|w| db.vocab.term_id(w)).collect();
@@ -255,8 +269,8 @@ proptest! {
         let mir2 = mir2_of(&db, 2, seed);
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = DistanceFirstQuery::new(qpoint, &kws, 10);
-        let (a, _) = distance_first_topk(&ir2, db.store.as_ref(), &q).unwrap();
-        let (b, _) = distance_first_topk(&mir2, db.store.as_ref(), &q).unwrap();
+        let (a, _) = topk(&ir2, db.store.as_ref(), &q);
+        let (b, _) = topk(&mir2, db.store.as_ref(), &q);
         let da: Vec<f64> = a.iter().map(|(_, d)| *d).collect();
         let db_: Vec<f64> = b.iter().map(|(_, d)| *d).collect();
         prop_assert_eq!(da.len(), db_.len());
@@ -334,8 +348,8 @@ proptest! {
         let rank = LinearRank { ir_weight: 1.0, dist_weight: 0.02 };
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = GeneralQuery::new(qpoint, &kws, k);
-        let a = general_topk(&ir2, db.store.as_ref(), &db.vocab, &scorer, &rank, &q).unwrap();
-        let b = general_topk(&mir2, db.store.as_ref(), &db.vocab, &scorer, &rank, &q).unwrap();
+        let a = general_topk_traced(&ir2, db.store.as_ref(), &db.vocab, &scorer, &rank, &q, NopSink).unwrap();
+        let b = general_topk_traced(&mir2, db.store.as_ref(), &db.vocab, &scorer, &rank, &q, NopSink).unwrap();
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             prop_assert!((x.score - y.score).abs() < 1e-9);
@@ -428,9 +442,9 @@ proptest! {
         let kws: Vec<&str> = kw.iter().map(|&i| WORDS[i]).collect();
         let q = DistanceFirstQuery::new(qpoint, &kws, k);
         let want = brute_distance_first(&db, &q);
-        let (got_ir2, _) = distance_first_topk(&ir2, db.store.as_ref(), &q).unwrap();
+        let (got_ir2, _) = topk(&ir2, db.store.as_ref(), &q);
         assert_distance_first_matches(&got_ir2, &want, &q.keywords);
-        let (got_mir2, _) = distance_first_topk(&mir2, db.store.as_ref(), &q).unwrap();
+        let (got_mir2, _) = topk(&mir2, db.store.as_ref(), &q);
         assert_distance_first_matches(&got_mir2, &want, &q.keywords);
     }
 }

@@ -4,12 +4,27 @@
 use std::sync::Arc;
 
 use ir2_geo::{Point, Rect};
-use ir2_irtree::{distance_first_region_topk, insert_object, DistanceFirstIter, Ir2Payload};
-use ir2_model::{ObjectSource, ObjectStore, QueryRegion, SpatialObject};
+use ir2_irtree::{distance_first_topk, insert_object, DistanceFirstIter, Ir2Payload, NopSink};
+use ir2_model::{ObjectSource, ObjectStore, QueryLimits, QueryRegion, SpatialObject};
 use ir2_rtree::{RTree, RTreeConfig};
 use ir2_sigfile::SignatureScheme;
 use ir2_storage::testing::FlakyDevice;
-use ir2_storage::{MemDevice, StorageError};
+use ir2_storage::{BlockDevice, MemDevice, StorageError};
+use ir2_text::normalize_keywords;
+
+/// Unlimited, untraced top-k around `region` for raw `keywords`.
+fn region_topk<D: BlockDevice>(
+    tree: &RTree<2, D, Ir2Payload>,
+    objects: &dyn ObjectSource<2>,
+    region: impl Into<QueryRegion<2>>,
+    keywords: &[&str],
+    k: usize,
+) -> ir2_storage::Result<Vec<(SpatialObject<2>, f64)>> {
+    let kws = normalize_keywords(keywords);
+    let none = QueryLimits::none();
+    let (out, _) = distance_first_topk(tree, objects, region, &kws, k, none, NopSink)?;
+    Ok(out.into_results())
+}
 
 fn grid_db() -> (
     Arc<ObjectStore<2, MemDevice>>,
@@ -44,8 +59,7 @@ fn area_query_returns_contained_objects_first() {
     let (store, tree, objs) = grid_db();
     let area = Rect::from_corners(Point::new([1.5, 1.5]), Point::new([3.5, 3.5]));
     let region = QueryRegion::Area(area);
-    let (hits, _) =
-        distance_first_region_topk(&tree, store.as_ref(), region, &["cafe".into()], 50).unwrap();
+    let hits = region_topk(&tree, store.as_ref(), region, &["cafe"], 50).unwrap();
 
     // Every "cafe" object inside the area must be reported at distance 0,
     // before anything outside.
@@ -84,22 +98,8 @@ fn area_query_returns_contained_objects_first() {
 fn area_query_equals_point_query_for_degenerate_area() {
     let (store, tree, _) = grid_db();
     let p = Point::new([4.2, 2.9]);
-    let (by_area, _) = distance_first_region_topk(
-        &tree,
-        store.as_ref(),
-        QueryRegion::Area(Rect::from_point(p)),
-        &["cafe".into()],
-        10,
-    )
-    .unwrap();
-    let (by_point, _) = distance_first_region_topk(
-        &tree,
-        store.as_ref(),
-        QueryRegion::Point(p),
-        &["cafe".into()],
-        10,
-    )
-    .unwrap();
+    let by_area = region_topk(&tree, store.as_ref(), Rect::from_point(p), &["cafe"], 10).unwrap();
+    let by_point = region_topk(&tree, store.as_ref(), p, &["cafe"], 10).unwrap();
     let da: Vec<f64> = by_area.iter().map(|(_, d)| *d).collect();
     let dp: Vec<f64> = by_point.iter().map(|(_, d)| *d).collect();
     assert_eq!(da.len(), dp.len());
@@ -130,7 +130,9 @@ fn tree_device_failure_surfaces_as_error_not_panic() {
     let mut iter = DistanceFirstIter::new(
         &tree,
         store.as_ref() as &dyn ObjectSource<2>,
-        ir2_model::DistanceFirstQuery::new([0.0, 0.0], &["pool"], 5),
+        [0.0, 0.0],
+        vec!["pool".into()],
+        NopSink,
     );
     match iter.next() {
         Some(Err(StorageError::Io { .. })) => {}
@@ -139,12 +141,7 @@ fn tree_device_failure_surfaces_as_error_not_panic() {
 
     // Service restored: the same tree keeps working (no corruption).
     tree.device().refill(u64::MAX / 2);
-    let (hits, _) = ir2_irtree::distance_first_topk(
-        &tree,
-        store.as_ref(),
-        &ir2_model::DistanceFirstQuery::new([0.0, 0.0], &["pool"], 5),
-    )
-    .unwrap();
+    let hits = region_topk(&tree, store.as_ref(), [0.0, 0.0], &["pool"], 5).unwrap();
     assert_eq!(hits.len(), 5);
 }
 
@@ -166,11 +163,7 @@ fn object_store_failure_mid_verification_is_an_error() {
         insert_object(&tree, ptr, &obj).unwrap();
     }
     flaky_store.device().refill(0);
-    let res = ir2_irtree::distance_first_topk(
-        &tree,
-        flaky_store.as_ref(),
-        &ir2_model::DistanceFirstQuery::new([0.0, 0.0], &["pool"], 3),
-    );
+    let res = region_topk(&tree, flaky_store.as_ref(), [0.0, 0.0], &["pool"], 3);
     assert!(matches!(res, Err(StorageError::Io { .. })));
 }
 

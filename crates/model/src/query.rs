@@ -1,7 +1,7 @@
 //! Query types shared by every algorithm.
 
 use ir2_geo::Point;
-use ir2_text::tokenize;
+use ir2_text::normalize_keywords;
 
 /// A distance-first top-k spatial keyword query (Section 2):
 /// "the `k` objects that contain all of `w₁, …, wₘ` and are closest to
@@ -23,15 +23,9 @@ impl<const N: usize> DistanceFirstQuery<N> {
     /// that tokenizes to several tokens contributes each of them; duplicate
     /// keywords are collapsed.
     pub fn new<S: AsRef<str>>(point: impl Into<Point<N>>, keywords: &[S], k: usize) -> Self {
-        let mut kws: Vec<String> = keywords
-            .iter()
-            .flat_map(|w| tokenize(w.as_ref()).collect::<Vec<_>>())
-            .collect();
-        kws.sort_unstable();
-        kws.dedup();
         Self {
             point: point.into(),
-            keywords: kws,
+            keywords: normalize_keywords(keywords),
             k,
         }
     }

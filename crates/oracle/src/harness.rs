@@ -381,7 +381,6 @@ impl Checker {
         };
         let warm_cfg = DbConfig {
             node_cache: 64,
-            prefetch: 2,
             ..cfg.clone()
         };
 

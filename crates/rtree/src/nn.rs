@@ -4,10 +4,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ir2_geo::{OrderedF64, Point};
+use ir2_geo::{OrderedF64, Rect};
 use ir2_storage::{BlockDevice, Result};
 
-use crate::prefetch::PrefetchQueue;
 use crate::{PayloadOps, RTree};
 
 /// One nearest-neighbor result: an object reference and its distance.
@@ -15,7 +14,7 @@ use crate::{PayloadOps, RTree};
 pub struct NnResult {
     /// The leaf entry's object reference (`ObjPtr`).
     pub child: u64,
-    /// Distance from the query point to the object's MBR.
+    /// Distance from the query anchor to the object's MBR.
     pub dist: f64,
 }
 
@@ -25,7 +24,8 @@ enum Item {
     Object(u64),
 }
 
-/// Lazily yields objects in ascending distance from a query point.
+/// Lazily yields objects in ascending distance from a query point (or,
+/// per the paper's "an area could be used instead", a query area).
 ///
 /// This is the `NearestNeighbor(p, U)` of the paper's Figure 3: a priority
 /// queue is seeded with the root; dequeuing a node enqueues its children at
@@ -40,13 +40,12 @@ enum Item {
 /// algorithm and touches strictly fewer blocks.
 pub struct NnIter<'a, const N: usize, D, P> {
     tree: &'a RTree<N, D, P>,
-    query: Point<N>,
+    query: Rect<N>,
     heap: BinaryHeap<Reverse<(OrderedF64, u64, Item)>>,
     seq: u64,
     nodes_read: u64,
     cache_hits: u64,
     cache_misses: u64,
-    prefetch: PrefetchQueue,
 }
 
 // Items only compare through (dist, seq), which are unique per entry.
@@ -62,21 +61,23 @@ impl PartialOrd for Item {
 }
 
 impl<const N: usize, D: BlockDevice, P: PayloadOps> RTree<N, D, P> {
-    /// Starts an incremental nearest-neighbor scan from `query`.
-    pub fn nearest(&self, query: Point<N>) -> NnIter<'_, N, D, P> {
+    /// Starts an incremental nearest-neighbor scan from `query`: a point,
+    /// or an area whose contents come out at distance zero. A point is a
+    /// degenerate rectangle, and the rectangle gap to an MBR is then
+    /// bit-for-bit the point MINDIST.
+    pub fn nearest(&self, query: impl Into<Rect<N>>) -> NnIter<'_, N, D, P> {
         let mut heap = BinaryHeap::new();
         if let Some(root) = self.root() {
             heap.push(Reverse((OrderedF64(0.0), 0, Item::Node(root))));
         }
         NnIter {
             tree: self,
-            query,
+            query: query.into(),
             heap,
             seq: 1,
             nodes_read: 0,
             cache_hits: 0,
             cache_misses: 0,
-            prefetch: PrefetchQueue::disabled(),
         }
     }
 }
@@ -100,15 +101,6 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> NnIter<'_, N, D, P> {
     /// `nodes_read == cache_hits + cache_misses` always holds.
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses
-    }
-
-    /// Attaches a frontier-prefetch queue (see
-    /// [`with_frontier_prefetch`](crate::with_frontier_prefetch)): on each
-    /// node expansion, up to `queue.width()` child nodes are nominated for
-    /// background decode into the tree's cache. Rank order is unaffected.
-    pub fn prefetching(mut self, queue: PrefetchQueue) -> Self {
-        self.prefetch = queue;
-        self
     }
 
     /// Current search-frontier (priority queue) size.
@@ -154,17 +146,12 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> NnIter<'_, N, D, P> {
                     self.nodes_read += 1;
                     self.cache_hits += u64::from(hit);
                     self.cache_misses += u64::from(!hit);
-                    let mut speculate = self.prefetch.width();
                     for i in 0..node.len() {
                         let child = node.child(i);
-                        let d = OrderedF64(node.rect(i).min_dist(&self.query));
+                        let d = OrderedF64(self.query.min_dist_rect(&node.rect(i)));
                         let item = if node.is_leaf() {
                             Item::Object(child)
                         } else {
-                            if speculate > 0 {
-                                self.prefetch.enqueue(child);
-                                speculate -= 1;
-                            }
                             Item::Node(child)
                         };
                         self.heap.push(Reverse((d, self.seq, item)));
@@ -189,7 +176,7 @@ impl<const N: usize, D: BlockDevice, P: PayloadOps> Iterator for NnIter<'_, N, D
 mod tests {
     use super::*;
     use crate::{RTreeConfig, UnitPayload};
-    use ir2_geo::Rect;
+    use ir2_geo::Point;
     use ir2_storage::{MemDevice, TrackedDevice};
 
     fn build(points: &[[f64; 2]]) -> RTree<2, MemDevice, UnitPayload> {

@@ -346,61 +346,24 @@ impl SignatureBlock {
 #[inline]
 fn contains_words(row: &[u64], q: &[u64]) -> bool {
     debug_assert_eq!(row.len(), q.len());
-    #[cfg(feature = "portable-simd")]
-    {
-        return simd::contains_words(row, q);
+    let mut j = 0usize;
+    let n = row.len();
+    while j + 4 <= n {
+        let acc = ((row[j] & q[j]) ^ q[j])
+            | ((row[j + 1] & q[j + 1]) ^ q[j + 1])
+            | ((row[j + 2] & q[j + 2]) ^ q[j + 2])
+            | ((row[j + 3] & q[j + 3]) ^ q[j + 3]);
+        if acc != 0 {
+            return false;
+        }
+        j += 4;
     }
-    #[cfg(not(feature = "portable-simd"))]
-    {
-        let mut j = 0usize;
-        let n = row.len();
-        while j + 4 <= n {
-            let acc = ((row[j] & q[j]) ^ q[j])
-                | ((row[j + 1] & q[j + 1]) ^ q[j + 1])
-                | ((row[j + 2] & q[j + 2]) ^ q[j + 2])
-                | ((row[j + 3] & q[j + 3]) ^ q[j + 3]);
-            if acc != 0 {
-                return false;
-            }
-            j += 4;
-        }
-        let mut acc = 0u64;
-        while j < n {
-            acc |= (row[j] & q[j]) ^ q[j];
-            j += 1;
-        }
-        acc == 0
+    let mut acc = 0u64;
+    while j < n {
+        acc |= (row[j] & q[j]) ^ q[j];
+        j += 1;
     }
-}
-
-/// Explicit-SIMD variant of the chunked kernel, compiled only when the
-/// off-by-default `portable-simd` feature is enabled (requires a nightly
-/// toolchain for `std::simd`); stable builds use the unrolled u64 loops
-/// above, which autovectorize on current compilers.
-#[cfg(feature = "portable-simd")]
-mod simd {
-    use std::simd::cmp::SimdPartialEq;
-    use std::simd::u64x4;
-
-    #[inline]
-    pub(super) fn contains_words(row: &[u64], q: &[u64]) -> bool {
-        let mut j = 0usize;
-        let n = row.len();
-        while j + 4 <= n {
-            let s = u64x4::from_slice(&row[j..j + 4]);
-            let qq = u64x4::from_slice(&q[j..j + 4]);
-            if !(s & qq).simd_eq(qq).all() {
-                return false;
-            }
-            j += 4;
-        }
-        let mut acc = 0u64;
-        while j < n {
-            acc |= (row[j] & q[j]) ^ q[j];
-            j += 1;
-        }
-        acc == 0
-    }
+    acc == 0
 }
 
 /// Zero-copy containment against a serialized signature (the exact bytes

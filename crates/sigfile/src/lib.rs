@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! Signature files: the superimposed-coding substrate of the IR²-Tree.
 //!
 //! Faloutsos and Christodoulakis [FC84] introduced *signature files* as a

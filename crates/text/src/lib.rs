@@ -28,5 +28,5 @@ mod vocab;
 
 pub use rank::{DecayRank, LinearRank, RankingFn};
 pub use score::{IrScorer, SaturatingTfIdf};
-pub use tokenize::{tokenize, TokenCounts, TokenSet};
+pub use tokenize::{normalize_keywords, tokenize, TokenCounts, TokenSet};
 pub use vocab::{TermId, VocabCorrupt, Vocabulary};

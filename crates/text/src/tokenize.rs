@@ -14,6 +14,21 @@ pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
         .map(|s| s.to_lowercase())
 }
 
+/// Normalizes query keywords through the document tokenizer: each keyword
+/// contributes its tokens (so "Internet" matches "internet" and "golf
+/// course" asks for both words), sorted, with duplicates collapsed. Every
+/// query type builds its keyword list here.
+///
+/// ```
+/// assert_eq!(ir2_text::normalize_keywords(&["POOL", "golf course", "pool"]), ["course", "golf", "pool"]);
+/// ```
+pub fn normalize_keywords<S: AsRef<str>>(keywords: &[S]) -> Vec<String> {
+    let mut kws: Vec<String> = keywords.iter().flat_map(|w| tokenize(w.as_ref())).collect();
+    kws.sort_unstable();
+    kws.dedup();
+    kws
+}
+
 /// The set of distinct tokens of a document.
 ///
 /// This is the structure the distance-first algorithms consult to verify

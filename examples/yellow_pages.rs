@@ -11,8 +11,9 @@
 //! Run with: `cargo run --release --example yellow_pages`
 
 use ir2_datagen::DatasetSpec;
-use ir2tree::irtree::DistanceFirstIter;
+use ir2tree::irtree::{DistanceFirstIter, NopSink};
 use ir2tree::model::DistanceFirstQuery;
+use ir2tree::text::normalize_keywords;
 use ir2tree::{Algorithm, DbConfig, DeviceSet, SpatialKeywordDb};
 
 const PAGE_SIZE: usize = 5;
@@ -40,8 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Search near {address:?} for businesses mentioning {keywords:?}:\n");
 
     // Page through results incrementally: one iterator, resumed per page.
-    let query = DistanceFirstQuery::new(address, &keywords, usize::MAX);
-    let mut results = DistanceFirstIter::new(db.ir2_tree(), db.object_store(), query);
+    let kws = normalize_keywords(&keywords);
+    let mut results =
+        DistanceFirstIter::new(db.ir2_tree(), db.object_store(), address, kws, NopSink);
     for page in 1..=3 {
         println!("--- page {page} ---");
         let mut shown = 0;
